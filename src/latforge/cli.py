@@ -17,18 +17,7 @@ from typing import Sequence
 from . import serialize
 from .bench import improvement_frequency, radius_sweep
 from .core import Basis, metrics, svp_oracle
-from .errors import (
-    BadBlockingError,
-    BadStageParamsError,
-    DegreeMismatchError,
-    DegreeTooSmallError,
-    InfeasibleRadiusError,
-    LatticeError,
-    NotPrimeError,
-    ParseError,
-    RankDeficientError,
-    StageInfeasibleError,
-)
+from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import (
     FixedRadius,
     HcConfig,
@@ -41,31 +30,19 @@ from .hillclimb import (
 from .latfile import load_lattice
 from .ldsf import LdsfConfig, ldsf_run
 from .lll import LllParams, lll_reduce
-from .pipeline import run_pipeline, stage_from_dict
+from .pipeline import run_pipeline, stages_from_list
 
-USAGE_ERRORS = (
-    ParseError,
-    RankDeficientError,
-    InfeasibleRadiusError,
-    NotPrimeError,
-    DegreeMismatchError,
-    DegreeTooSmallError,
-    BadBlockingError,
-    BadStageParamsError,
-    StageInfeasibleError,
-    ValueError,
-)
+# Only these two mean a computation could not finish (exit 2); every other
+# library error comes from a check on the input (exit 1).
+COMPUTATION_ERRORS = (BoxTooLargeError, DependentRowsError)
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract here is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with(message))
-
-    def exit_with(self, message: str) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _radii(text: str) -> list[int]:
@@ -110,7 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ld = sub.add_parser("ldsf", parents=[common], help="diffusion/fusion reduction")
     ld.add_argument("--blocks", type=int, required=True, help="initial block count")
-    ld.add_argument("--beta", type=int, default=2, help="declared block size")
     ld.add_argument("--inner", type=int, default=1, help="inner iterations M")
     ld.add_argument("--outer", type=int, default=1, help="outer iterations N")
     ld.add_argument("--target", type=_decimal, help="stop once this length is reached")
@@ -204,7 +180,6 @@ def _cmd_hc(args, basis: Basis) -> int:
 def _cmd_ldsf(args, basis: Basis) -> int:
     cfg = LdsfConfig(
         servers=args.blocks,
-        block_rows=args.beta,
         inner_iters=args.inner,
         outer_iters=args.outer,
         alpha=LllParams(args.alpha),
@@ -223,10 +198,7 @@ def _cmd_ldsf(args, basis: Basis) -> int:
 def _cmd_hybrid(args, basis: Basis) -> int:
     with open(args.stages, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise BadStageParamsError("stage file must hold a JSON list")
-    default_alpha = LllParams(args.alpha)
-    stages = [stage_from_dict(entry, default_alpha) for entry in raw]
+    stages = stages_from_list(raw, LllParams(args.alpha))
     report = run_pipeline(basis, stages, seed=args.seed)
     last = report.stage_reports[-1]
     print(
@@ -294,13 +266,10 @@ def cli_main(argv: Sequence[str]) -> int:
     try:
         basis = load_lattice(args.infile).basis
         return _COMMANDS[args.command](args, basis)
-    except USAGE_ERRORS as exc:
-        print(f"latforge {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except LatticeError as exc:
+    except COMPUTATION_ERRORS as exc:
         print(f"latforge {args.command}: computation failed: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (LatticeError, ValueError, OSError) as exc:
         print(f"latforge {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - defensive

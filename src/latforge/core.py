@@ -10,7 +10,6 @@ inputs can run to hundreds of digits and would overflow a float.
 from __future__ import annotations
 
 import decimal
-import itertools
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -219,65 +218,74 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _hnf_echelon(rows: list[list[int]]) -> list[list[int]]:
-    """Reference row-style HNF by xgcd row elimination.  Exact everywhere,
-    but intermediate entries can blow up on large square inputs."""
-    m, n = len(rows), len(rows[0])
-    r = 0
+def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
+    """Fraction-free Gauss-Jordan elimination of the m x n matrix B of ``b``.
+
+    Returns the pivot columns P (each the first column independent of those
+    before it, so a property of the row space), d = +-det(B_P), and rows
+    whose non-pivot columns hold d * B_P^-1 * B.  Divisions are exact.
+    """
+    work = [list(r) for r in b.rows]
+    m, n = b.m, b.n
+    pivots: list[int] = []
+    prev = 1
     for c in range(n):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
+        k = next((i for i in range(len(pivots), m) if work[i][c]), None)
+        if k is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            if rows[i][c] == 0:
-                continue
-            a, bb = rows[r][c], rows[i][c]
-            x, y, g = _xgcd(a, bb)
-            u, v = -(bb // g), a // g
-            rows[r], rows[i] = (
-                [x * p + y * q for p, q in zip(rows[r], rows[i])],
-                [u * p + v * q for p, q in zip(rows[r], rows[i])],
-            )
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        pivot = rows[r][c]
-        for i in range(r):
-            q = rows[i][c] // pivot
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    if r < m:
+        r = len(pivots)
+        work[r], work[k] = work[k], work[r]
+        pivots.append(c)
+        piv_row, piv = work[r], work[r][c]
+        cols = [j for j in range(n) if j not in pivots]
+        for row in work:
+            if row is not piv_row:
+                f = row[c]
+                for j in cols:
+                    row[j] = (piv * row[j] - f * piv_row[j]) // prev
+        prev = piv
+    if len(pivots) < m:
         raise DependentRowsError("rows span a lattice of lower rank")
-    return rows
+    return pivots, prev, work
 
 
-def _hnf_square_mod_det(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style HNF of a square basis with all arithmetic bounded by the
-    determinant (sympy's modulo-D algorithm, rotated into row convention)."""
-    det = abs(_bareiss_det(rows))
-    if det == 0:
-        raise DependentRowsError("rows span a lattice of lower rank")
+def _hnf_square(rows: list[list[int]], det: int) -> list[list[int]]:
+    """Row-style HNF of a nonsingular square matrix whose |det| is ``det``
+    (``rows`` is overwritten).
+
+    Cohen's Algorithm 2.4.8 (Domich-Kannan-Trotter): column p is cleared
+    below its pivot by xgcd row operations taken modulo R, where R starts
+    at det and is divided by each pivot found, so R * Z^(m-p) stays inside
+    the lattice of what is left and no entry ever exceeds det.  Cohen's
+    column-style upper-triangular form is ours rotated by 180 degrees; the
+    indices here are already rotated.
+    """
     m = len(rows)
     if det == 1:
-        return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    from sympy import Matrix
-    from sympy.matrices.normalforms import hermite_normal_form
-
-    # Our row-style form H = U.B transposes to a lower-triangular column
-    # form; rotating by 180 degrees maps it onto sympy's upper-triangular
-    # column convention, and canonicity makes the round trip exact.
-    rotated = Matrix(
-        [[rows[m - 1 - j][m - 1 - i] for j in range(m)] for i in range(m)]
-    )
-    w = hermite_normal_form(rotated, D=det, check_rank=True)
-    return [[int(w[m - 1 - j, m - 1 - i]) for j in range(m)] for i in range(m)]
-
-
-# Below this rank the reference echelon beats the sympy import anyway.
-_HNF_FAST_PATH_MIN_RANK = 6
+        return [[int(i == j) for j in range(m)] for i in range(m)]
+    out: list[list[int]] = []
+    R = det
+    for p in range(m):
+        piv_row = rows[p]
+        for r in range(p + 1, m):
+            other = rows[r]
+            if other[p] == 0:
+                continue
+            x, y, g = _xgcd(piv_row[p], other[p])
+            s, t = piv_row[p] // g, other[p] // g
+            piv_row, rows[r] = (
+                [(x * a + y * c) % R for a, c in zip(piv_row, other)],
+                [(s * c - t * a) % R for a, c in zip(piv_row, other)],
+            )
+        u, _, d = _xgcd(piv_row[p], R)
+        row = [u * a % R for a in piv_row]
+        row[p] = d
+        for above in out:
+            q = above[p] // d
+            above[:] = [a - q * c for a, c in zip(above, row)]
+        out.append(row)
+        R //= d
+    return out
 
 
 def hnf(b: Basis) -> Basis:
@@ -287,67 +295,27 @@ def hnf(b: Basis) -> Basis:
     pivot reduced into [0, pivot).  All row operations are unimodular, so the
     output generates the same lattice, and the form is canonical: two bases
     generate equal lattices iff their HNFs are identical.
+
+    The pivot columns P of the form are those of ``b``.  The square minor
+    B_P gets its HNF H_P modulo its determinant, and the whole form is
+    H_P * B_P^-1 * B, which is H_P on P and exact integers elsewhere.
     """
-    rows = [list(r) for r in b.rows]
-    if b.m == b.n and b.m >= _HNF_FAST_PATH_MIN_RANK:
-        return Basis.from_rows(_hnf_square_mod_det(rows))
-    return Basis.from_rows(_hnf_echelon(rows))
+    pivots, det, scaled = _reduced_echelon(b)
+    square = _hnf_square([[row[c] for c in pivots] for row in b.rows], abs(det))
+    out = []
+    for h in square:
+        on_pivots = dict(zip(pivots, h))
+        out.append([
+            on_pivots[j] if j in on_pivots
+            else sum(x * s[j] for x, s in zip(h, scaled)) // det
+            for j in range(b.n)
+        ])
+    return Basis.from_rows(out)
 
 
 def same_lattice(a: Basis, b: Basis) -> bool:
     """Exact lattice-equality test via canonical HNF comparison."""
     return hnf(a).rows == hnf(b).rows
-
-
-def _enumerate_box_python(b: Basis, bound: int) -> tuple[tuple[int, ...], int]:
-    """Reference enumeration: first (lex-smallest) coefficient vector of
-    minimal nonzero norm.  Arbitrary-precision, no numpy."""
-    gram = [[_dot(r, s) for s in b.rows] for r in b.rows]
-    best_sq = None
-    best_coeffs = None
-    for coeffs in itertools.product(range(-bound, bound + 1), repeat=b.m):
-        if not any(coeffs):
-            continue
-        sq = 0
-        for i, ci in enumerate(coeffs):
-            if ci == 0:
-                continue
-            gi = gram[i]
-            sq += ci * ci * gi[i]
-            for j in range(i + 1, b.m):
-                if coeffs[j]:
-                    sq += 2 * ci * coeffs[j] * gi[j]
-        if best_sq is None or sq < best_sq:
-            best_sq, best_coeffs = sq, coeffs
-    return best_coeffs, best_sq
-
-
-def _enumerate_box_numpy(b: Basis, bound: int) -> tuple[tuple[int, ...], int]:
-    """Vectorized enumeration over the coefficient box, chunked to bound
-    memory.  Index order equals lexicographic order on coefficient vectors,
-    so the first minimum found is the lex-smallest one."""
-    import numpy as np
-
-    m = b.m
-    side = 2 * bound + 1
-    total = side**m
-    gram = np.array([[_dot(r, s) for s in b.rows] for r in b.rows], dtype=np.int64)
-    weights = np.array([side ** (m - 1 - j) for j in range(m)], dtype=np.int64)
-    best_sq = None
-    best_coeffs = None
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % side
-        coeffs = digits - bound
-        sq = np.einsum("ij,jk,ik->i", coeffs, gram, coeffs)
-        sq[np.all(coeffs == 0, axis=1)] = np.iinfo(np.int64).max
-        pos = int(np.argmin(sq))
-        val = int(sq[pos])
-        if best_sq is None or val < best_sq:
-            best_sq = val
-            best_coeffs = tuple(int(x) for x in coeffs[pos])
-    return best_coeffs, best_sq
 
 
 def svp_oracle(
@@ -358,7 +326,16 @@ def svp_oracle(
 
     Ground truth for desk-scale validation only; the box grows as
     (2*coeff_bound+1)^m and is rejected beyond ``budget``.  Ties are broken
-    by the lexicographically smallest coefficient vector.
+    by the lexicographically smallest coefficient vector.  ``count_checked``
+    is the size of the box less the zero vector, not the number of nodes
+    the pruned search visits.
+
+    Schnorr-Euchner depth-first search on the exact GSO: coefficients are
+    fixed from the last row down, each level in order of distance from its
+    projected center, so the partial squared norm only grows along a
+    branch.  A branch is cut once it exceeds the best norm found so far,
+    starting from the shortest row (its unit coefficient vector is in the
+    box).  Ties survive the cut, so every minimum in the box is reached.
     """
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
@@ -367,13 +344,30 @@ def svp_oracle(
         raise BoxTooLargeError(
             f"box of {box} coefficient vectors exceeds budget {budget}"
         )
-    # int64 is safe as long as the worst-case quadratic form value fits.
-    max_gram = max(abs(_dot(r, s)) for r in b.rows for s in b.rows)
-    if max_gram and b.m**2 * coeff_bound**2 * max_gram < 2**62:
-        coeffs, best_sq = _enumerate_box_numpy(b, coeff_bound)
-    else:
-        coeffs, best_sq = _enumerate_box_python(b, coeff_bound)
+    g = gso(b)
+    m = b.m
+    x = [0] * m
+    best_sq, first = min((b.row_normsq(i), i) for i in range(m))
+    best = tuple(int(j == first) for j in range(m))
+    box_range = range(-coeff_bound, coeff_bound + 1)
+
+    def search(i: int, partial: Fraction) -> None:
+        nonlocal best_sq, best
+        center = -sum(x[j] * g.mu[j][i] for j in range(i + 1, m))
+        for xi in sorted(box_range, key=lambda v: abs(v - center)):
+            sq = partial + (xi - center) ** 2 * g.normsq[i]
+            if sq > best_sq:
+                return
+            x[i] = xi
+            if i:
+                search(i - 1, sq)
+            elif any(x) and (sq < best_sq or tuple(x) < best):
+                best_sq, best = sq, tuple(x)
+
+    search(m - 1, Fraction(0))
     vector = tuple(
-        sum(c * row[j] for c, row in zip(coeffs, b.rows)) for j in range(b.n)
+        sum(c * row[j] for c, row in zip(best, b.rows)) for j in range(b.n)
     )
-    return SvpResult(vector=vector, lambda1=_sqrt(best_sq), count_checked=box - 1)
+    return SvpResult(
+        vector=vector, lambda1=_sqrt(_dot(vector, vector)), count_checked=box - 1
+    )

@@ -25,10 +25,10 @@ from .perm import Permutation, apply, sample_right
 
 @dataclass(frozen=True)
 class LdsfConfig:
-    """Block count (= worker count), block size, loop depths, stop bound."""
+    """Block count (= worker count), loop depths, stop bound.  Blocks hold
+    ceil(m / servers) rows each; see ``ldsf_run``."""
 
     servers: int
-    block_rows: int = 2
     inner_iters: int = 1
     outer_iters: int = 1
     alpha: LllParams = LllParams("3/4")
@@ -38,8 +38,6 @@ class LdsfConfig:
     def __post_init__(self):
         if self.servers < 1:
             raise ValueError("servers must be >= 1")
-        if self.block_rows < 2:
-            raise ValueError("block_rows must be >= 2")
         if self.inner_iters < 1 or self.outer_iters < 1:
             raise ValueError("inner_iters and outer_iters must be >= 1")
 

@@ -30,7 +30,10 @@ class LllParams:
     def __post_init__(self):
         if isinstance(self.alpha, float):
             raise TypeError("pass alpha as a Fraction, string, or integer ratio")
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        try:
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"alpha is not an exact rational: {self.alpha!r}") from exc
         if not Fraction(1, 4) < self.alpha < 1:
             raise ValueError(f"alpha must lie in (1/4, 1), got {self.alpha}")
 

@@ -37,6 +37,8 @@ def derive_rng(*parts: object) -> random.Random:
 def worker_count(n_tasks: int) -> int:
     """Pool size: min(tasks, LATFORGE_THREADS or logical CPU count)."""
     cap = os.environ.get(THREADS_ENV)
+    if cap and not (cap.isdecimal() and int(cap) >= 1):
+        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {cap!r}")
     limit = int(cap) if cap else (os.cpu_count() or 1)
     return max(1, min(n_tasks, limit))
 

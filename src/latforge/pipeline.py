@@ -42,6 +42,10 @@ class StageSpec:
             raise BadStageParamsError("blocks must be >= 1")
         if self.kind == KIND_SIGMA and self.sample_n < 1:
             raise BadStageParamsError("sample_n must be >= 1")
+        if self.kind != KIND_LLL and min(self.inner_iters, self.outer_iters) < 1:
+            raise BadStageParamsError("inner and outer must be >= 1")
+        if not Decimal(str(self.target_bound or 0)).is_finite():
+            raise BadStageParamsError(f"target must be finite, got {self.target_bound}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,6 @@ def default_four_stage(
 def _ldsf_cfg(stage: StageSpec, seed: int) -> LdsfConfig:
     return LdsfConfig(
         servers=stage.blocks,
-        block_rows=2,
         inner_iters=stage.inner_iters,
         outer_iters=stage.outer_iters,
         alpha=stage.alpha,
@@ -108,14 +111,19 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
     (best shortest seen) and lub (best longest seen) plus wall time."""
     if not stages:
         raise BadStageParamsError("stage list is empty")
+    # Every stage keeps the rank, so all of them are checked before any runs:
+    # blocks hold >= 2 rows each and the right-permutation mix needs rank 3.
+    for index, stage in enumerate(stages, start=1):
+        need = max(3, 2 * stage.blocks)
+        if stage.kind != KIND_LLL and b0.m < need:
+            raise StageInfeasibleError(
+                f"stage {index}: {stage.kind} with {stage.blocks} blocks "
+                f"needs rank >= {need}, got {b0.m}"
+            )
     started = time.perf_counter()
     current = b0
     reports: list[StageReport] = []
     for index, stage in enumerate(stages, start=1):
-        if stage.kind != KIND_LLL and stage.blocks > current.m:
-            raise StageInfeasibleError(
-                f"stage {index} wants {stage.blocks} blocks on rank {current.m}"
-            )
         before = metrics(current)
         stage_started = time.perf_counter()
         stage_seed = derive_seed(seed, "stage", index)
@@ -174,17 +182,43 @@ def stage_to_dict(stage: StageSpec) -> dict:
 
 
 def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
-    kind = data.get("kind")
+    """One stage-file entry; a malformed entry raises BadStageParamsError."""
+    if not isinstance(data, dict):
+        raise BadStageParamsError(f"entry must be a JSON object, got {data!r}")
+    ints = {key: data.get(key, 1) for key in ("blocks", "sample", "inner", "outer")}
+    for key, value in ints.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise BadStageParamsError(f"'{key}' must be an integer, got {value!r}")
+    kind, target = data.get("kind"), data.get("target")
     if not isinstance(kind, str):
         raise BadStageParamsError("stage entry needs a 'kind' string")
-    alpha = LllParams(data["alpha"]) if "alpha" in data else default_alpha
-    target = data.get("target")
+    try:
+        alpha = LllParams(data["alpha"]) if "alpha" in data else default_alpha
+    except (TypeError, ValueError) as exc:
+        raise BadStageParamsError(f"'alpha': {exc}") from exc
+    try:
+        target = Decimal(str(target)) if target is not None else None
+    except ArithmeticError as exc:
+        raise BadStageParamsError(f"'target' is not a decimal: {target!r}") from exc
     return StageSpec(
         kind=kind,
         alpha=alpha,
-        blocks=int(data.get("blocks", 1)),
-        sample_n=int(data.get("sample", 1)),
-        target_bound=Decimal(str(target)) if target is not None else None,
-        inner_iters=int(data.get("inner", 1)),
-        outer_iters=int(data.get("outer", 1)),
+        blocks=ints["blocks"],
+        sample_n=ints["sample"],
+        target_bound=target,
+        inner_iters=ints["inner"],
+        outer_iters=ints["outer"],
     )
+
+
+def stages_from_list(raw: object, default_alpha: LllParams) -> list[StageSpec]:
+    """Parse a whole stage file; errors name the 1-based stage position."""
+    if not isinstance(raw, list):
+        raise BadStageParamsError("stage file must hold a JSON list")
+    stages = []
+    for index, entry in enumerate(raw, start=1):
+        try:
+            stages.append(stage_from_dict(entry, default_alpha))
+        except BadStageParamsError as exc:
+            raise BadStageParamsError(f"stage {index}: {exc}") from exc
+    return stages

@@ -3,13 +3,20 @@
 ``lattice_contains``/``same_lattice_oracle`` decide lattice membership and
 equality by exact rational row reduction, so HNF-based claims in the library
 can be validated through a second route.
+
+``_hnf_echelon`` (plain xgcd row elimination) and ``_enumerate_box_python``
+(a scan of every vector in the coefficient box) share no algorithm with
+``hnf`` (modulo-determinant HNF) and ``svp_oracle`` (pruned Schnorr-Euchner
+search), and serve as their references.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from latforge import Basis, gram_det
+from latforge import Basis, DependentRowsError, gram_det
+from latforge.core import _dot, _xgcd
 
 
 def solve_coefficients(b: Basis, v: tuple[int, ...]) -> list[Fraction] | None:
@@ -54,3 +61,61 @@ def same_lattice_oracle(a: Basis, b: Basis) -> bool:
     return all(lattice_contains(b, row) for row in a.rows) and all(
         lattice_contains(a, row) for row in b.rows
     )
+
+
+def _hnf_echelon(rows: list[list[int]]) -> list[list[int]]:
+    """Reference row-style HNF by xgcd row elimination.  Exact everywhere,
+    but intermediate entries can blow up on large square inputs."""
+    m, n = len(rows), len(rows[0])
+    r = 0
+    for c in range(n):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(r + 1, m):
+            if rows[i][c] == 0:
+                continue
+            a, bb = rows[r][c], rows[i][c]
+            x, y, g = _xgcd(a, bb)
+            u, v = -(bb // g), a // g
+            rows[r], rows[i] = (
+                [x * p + y * q for p, q in zip(rows[r], rows[i])],
+                [u * p + v * q for p, q in zip(rows[r], rows[i])],
+            )
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        pivot = rows[r][c]
+        for i in range(r):
+            q = rows[i][c] // pivot
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    if r < m:
+        raise DependentRowsError("rows span a lattice of lower rank")
+    return rows
+
+
+def _enumerate_box_python(b: Basis, bound: int) -> tuple[tuple[int, ...], int]:
+    """Reference enumeration: first (lex-smallest) coefficient vector of
+    minimal nonzero norm.  Arbitrary-precision, no numpy."""
+    gram = [[_dot(r, s) for s in b.rows] for r in b.rows]
+    best_sq = None
+    best_coeffs = None
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=b.m):
+        if not any(coeffs):
+            continue
+        sq = 0
+        for i, ci in enumerate(coeffs):
+            if ci == 0:
+                continue
+            gi = gram[i]
+            sq += ci * ci * gi[i]
+            for j in range(i + 1, b.m):
+                if coeffs[j]:
+                    sq += 2 * ci * coeffs[j] * gi[j]
+        if best_sq is None or sq < best_sq:
+            best_sq, best_coeffs = sq, coeffs
+    return best_coeffs, best_sq

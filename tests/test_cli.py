@@ -103,6 +103,35 @@ class TestHybrid:
         stages.write_text(json.dumps({"kind": "lll"}))
         assert cli_main(["hybrid", "--stages", str(stages), "--in", rank8]) == 1
 
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (3, "stage 2: entry must be a JSON object"),
+            ({"kind": "lll", "alpha": 0.75}, "stage 2: 'alpha': pass alpha as a Fraction, string"),
+            ({"kind": "lll", "alpha": "1/0"}, "stage 2: 'alpha': alpha is not an exact rational"),
+            ({"kind": "ldsf", "blocks": 2.5}, "stage 2: 'blocks' must be an integer"),
+            ({"kind": "sigma", "sample": "3"}, "stage 2: 'sample' must be an integer"),
+            ({"kind": "ldsf", "inner": 1.0}, "stage 2: 'inner' must be an integer"),
+            ({"kind": "ldsf", "outer": True}, "stage 2: 'outer' must be an integer"),
+            ({"kind": "ldsf", "outer": 0}, "stage 2: inner and outer must be >= 1"),
+            ({"kind": "ldsf", "target": "x"}, "stage 2: 'target' is not a decimal"),
+            ({"kind": "ldsf", "target": "NaN"}, "stage 2: target must be finite"),
+            ({"kind": "ldsf", "blocks": 5}, "stage 2: ldsf with 5 blocks needs rank >= 10, got 8"),
+        ],
+        ids=[
+            "not-object", "float-alpha", "alpha-1/0", "float-blocks", "string-sample",
+            "float-inner", "bool-outer", "zero-outer", "bad-target", "nan-target",
+            "blocks-over-rank",
+        ],
+    )
+    def test_bad_stage_entry_is_usage_error(self, rank8, tmp_path, capsys, entry, message):
+        stages = tmp_path / "bad.json"
+        stages.write_text(json.dumps([{"kind": "lll"}, entry]))
+        assert cli_main(["hybrid", "--stages", str(stages), "--in", rank8]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+
 
 class TestSweepAndFreq:
     def test_sweep_csv_deterministic(self, rank8, tmp_path):
@@ -158,3 +187,12 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, rank8, monkeypatch, capsys, value):
+        monkeypatch.setenv("LATFORGE_THREADS", value)
+        code = cli_main(["ldsf", "--blocks", "2", "--in", rank8])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "LATFORGE_THREADS must be a positive integer" in err
+        assert "internal error" not in err

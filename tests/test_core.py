@@ -11,16 +11,21 @@ from latforge import (
     gram_det,
     gso,
     hnf,
+    knapsack_basis,
     lll_reduce,
     metrics,
     same_lattice,
     svp_oracle,
     uniform_basis,
 )
-from latforge.core import _enumerate_box_numpy, _enumerate_box_python, _hnf_echelon
 from latforge.parallel import derive_rng
 
-from helpers import lattice_contains, same_lattice_oracle
+from helpers import (
+    _enumerate_box_python,
+    _hnf_echelon,
+    lattice_contains,
+    same_lattice_oracle,
+)
 
 
 class TestBasis:
@@ -158,6 +163,10 @@ class TestHnf:
         assert same_lattice_oracle(other, b)
 
     def test_fast_path_matches_echelon(self):
+        def agree(b):
+            want = _hnf_echelon([list(r) for r in b.rows])
+            assert hnf(b).rows == tuple(tuple(r) for r in want)
+
         rng = derive_rng("hnf-agree")
         checked = 0
         while checked < 40:
@@ -167,9 +176,25 @@ class TestHnf:
             if gram_det(b) == 0:
                 continue
             checked += 1
-            assert hnf(b).rows == tuple(
-                tuple(r) for r in _hnf_echelon([list(r) for r in rows])
-            )
+            agree(b)
+        # Non-square, with pivot columns that are not the leading ones: a
+        # zero column, a column repeated, a column that is a combination.
+        agree(Basis(((0, 2, 4, 1, 3), (0, 1, 2, 5, 7))))
+        agree(Basis(((0, 0, 3, 3, 6, 1), (0, 0, 5, 5, 1, 9), (0, 0, 7, 7, 2, 8))))
+        while checked < 80:
+            m = rng.randint(2, 6)
+            n = m + rng.randint(2, 4)
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            for row in rows:
+                row[0] = 0
+                row[2] = 2 * row[1] - row[3]
+            b = Basis.from_rows(rows)
+            if gram_det(b) == 0:
+                continue
+            checked += 1
+            agree(b)
+        for m in range(2, 13):
+            agree(lll_reduce(knapsack_basis(m, 60, seed=m)))
 
     def test_detects_dependence(self):
         with pytest.raises(DependentRowsError):
@@ -214,10 +239,33 @@ class TestSvpOracle:
         assert lattice_contains(b, res.vector)
         assert res.vector != (0,) * b.n
 
-    def test_numpy_and_python_paths_agree(self):
-        for seed in range(4):
-            b = uniform_basis(3, -15, 15, seed=seed)
-            assert _enumerate_box_numpy(b, 4) == _enumerate_box_python(b, 4)
+    def test_ties_match_reference_enumerator(self):
+        tied = [
+            Basis.identity(3),
+            Basis(((2, 0), (1, 2))),
+            Basis(((1, 1, 0, 0), (1, -1, 0, 0), (0, 1, 1, 0))),
+        ]
+        for b in tied:
+            for bound in (1, 2, 3):
+                coeffs, _ = _enumerate_box_python(b, bound)
+                res = svp_oracle(b, bound)
+                assert res.vector == tuple(
+                    sum(c * row[j] for c, row in zip(coeffs, b.rows))
+                    for j in range(b.n)
+                )
+
+    def test_matches_reference_enumerator(self):
+        rng = derive_rng("svp-agree")
+        for seed in range(12):
+            b = uniform_basis(3 + seed % 2, -15, 15, seed=rng.randint(0, 10**6))
+            for bound in range(1, 6):
+                coeffs, _ = _enumerate_box_python(b, bound)
+                res = svp_oracle(b, bound)
+                assert res.vector == tuple(
+                    sum(c * row[j] for c, row in zip(coeffs, b.rows))
+                    for j in range(b.n)
+                )
+                assert res.count_checked == (2 * bound + 1) ** b.m - 1
 
     def test_not_longer_than_reduced_rows(self):
         for seed in range(4):

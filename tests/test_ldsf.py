@@ -142,7 +142,7 @@ class TestRun:
         with pytest.raises(ValueError):
             LdsfConfig(servers=0)
         with pytest.raises(ValueError):
-            LdsfConfig(servers=1, block_rows=1)
+            LdsfConfig(servers=1, inner_iters=0)
 
 
 class TestSigma:
