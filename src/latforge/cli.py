@@ -47,16 +47,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _radii(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        radii = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad radius list {text!r}") from exc
+    if not radii:
+        raise argparse.ArgumentTypeError(f"radius list {text!r} names no radius")
+    return radii
 
 
 def _decimal(text: str) -> Decimal:
     try:
-        return Decimal(text)
+        value = Decimal(text)
     except ArithmeticError as exc:
         raise argparse.ArgumentTypeError(f"bad decimal {text!r}") from exc
+    if not value.is_finite():
+        raise argparse.ArgumentTypeError(f"decimal must be finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

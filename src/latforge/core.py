@@ -142,8 +142,9 @@ def _log10(value: int) -> Decimal:
     return REAL.log10(Decimal(value))
 
 
-def metrics(b: Basis) -> BasisMetrics:
-    """Shortest/longest row norms, log10 of the norm product, lattice det."""
+def metrics(b: Basis, gram: int | None = None) -> BasisMetrics:
+    """Shortest/longest row norms, log10 of the norm product, lattice det.
+    ``gram`` is det(B.B^T) if the caller knows it: trusted, not checked."""
     normsqs = [b.row_normsq(i) for i in range(b.m)]
     log10_weight = REAL.divide(
         sum((_log10(nsq) for nsq in normsqs), Decimal(0)), Decimal(2)
@@ -152,7 +153,7 @@ def metrics(b: Basis) -> BasisMetrics:
         shortest=_sqrt(min(normsqs)),
         longest=_sqrt(max(normsqs)),
         log10_weight=log10_weight,
-        det_lattice=_sqrt(gram_det(b)),
+        det_lattice=_sqrt(gram_det(b) if gram is None else gram),
     )
 
 
@@ -170,33 +171,37 @@ def reduction_key(b: Basis) -> tuple[int, int, int]:
     return (min(normsqs), prod, max(normsqs))
 
 
-def _bareiss_det(mat: list[list[int]]) -> int:
-    """Fraction-free determinant of a square integer matrix."""
-    m = [row[:] for row in mat]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, size):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
+def _gso_row(rows: Sequence, d: list[int], lam: list[list[int]], k: int) -> None:
+    """Row k of the integral GSO (Cohen 1993, Alg. 2.6.7), rows 0..k-1 done:
+    sets d[k+1] = det(Gram(rows[0..k])) and lam[k][j] = mu_kj * d[j+1] by
+    exact divisions; DependentRowsError if row k depends on those above."""
+    for j in range(k + 1):
+        u = _dot(rows[k], rows[j])
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        elif u == 0:
+            raise DependentRowsError(f"row {k} depends on rows above it")
+        else:
+            d[k + 1] = u
+
+
+def _integral_gso(b: Basis) -> tuple[list[int], list[list[int]]]:
+    """The integral Gram-Schmidt data (d, lam) of all rows of ``b``."""
+    d = [1] * (b.m + 1)
+    lam = [[0] * b.m for _ in range(b.m)]
+    for k in range(b.m):
+        _gso_row(b.rows, d, lam, k)
+    return d, lam
 
 
 def gram_det(b: Basis) -> int:
-    """det(B.B^T), exactly.  Zero iff the rows are dependent."""
-    gram = [[_dot(r, s) for s in b.rows] for r in b.rows]
-    return _bareiss_det(gram)
+    """det(B.B^T) exactly, as d[m] of the integral GSO; 0 iff rows are dependent."""
+    try:
+        return _integral_gso(b)[0][-1]
+    except DependentRowsError:
+        return 0
 
 
 def is_independent(b: Basis) -> bool:
@@ -337,8 +342,8 @@ def svp_oracle(
     starting from the shortest row (its unit coefficient vector is in the
     box).  Ties survive the cut, so every minimum in the box is reached.
     """
-    if coeff_bound < 1:
-        raise ValueError("coeff_bound must be >= 1")
+    if coeff_bound < 1 or budget < 1:
+        raise ValueError(f"coeff_bound and budget must be >= 1, got {coeff_bound}, {budget}")
     box = (2 * coeff_bound + 1) ** b.m
     if box > budget:
         raise BoxTooLargeError(

@@ -88,15 +88,11 @@ class HcTrace:
     seconds: float
 
 
-def det_bound(b: Basis) -> Decimal:
-    """The walk's default output target m * det(L)^(1/m)."""
-    det = _sqrt(gram_det(b))
+def det_bound(b: Basis, gram: int | None = None) -> Decimal:
+    """The walk's default output target m * det(L)^(1/m); ``gram`` as in ``metrics``."""
+    det = _sqrt(gram_det(b) if gram is None else gram)
     root = REAL.power(det, REAL.divide(Decimal(1), Decimal(b.m)))
     return REAL.multiply(Decimal(b.m), root)
-
-
-def _as_decimal(x: float | Decimal) -> Decimal:
-    return x if isinstance(x, Decimal) else Decimal(str(x))
 
 
 Sampler = Callable[[int], list[perm.Permutation]]
@@ -107,9 +103,11 @@ def _climb(b0: Basis, cfg: HcConfig, sampler: Sampler) -> HcTrace:
     current = lll_reduce(b0, cfg.alpha)
     best = current
     best_key = reduction_key(current)
-    initial = metrics(current)
-    bound = det_bound(b0)
-    target = bound if cfg.target_bound is None else _as_decimal(cfg.target_bound)
+    # Every basis of the walk spans the lattice of b0: one determinant.
+    gram = gram_det(current)
+    initial = metrics(current, gram)
+    bound = det_bound(b0, gram)
+    target = bound if cfg.target_bound is None else Decimal(str(cfg.target_bound))
 
     steps: list[HcStep] = []
     best_shortest = initial.shortest
@@ -128,7 +126,7 @@ def _climb(b0: Basis, cfg: HcConfig, sampler: Sampler) -> HcTrace:
         improved = keyed[j] < best_key
         if improved:
             best, best_key = current, keyed[j]
-        after = metrics(current)
+        after = metrics(current, gram)
         steps.append(
             HcStep(
                 index=i,
@@ -143,7 +141,7 @@ def _climb(b0: Basis, cfg: HcConfig, sampler: Sampler) -> HcTrace:
         reached = best_shortest <= target
         i += 1
 
-    best_metrics = metrics(best)
+    best_metrics = metrics(best, gram)
     return HcTrace(
         steps=tuple(steps),
         best_basis=best,

@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, metrics, reduction_key, _sqrt
+from .core import Basis, BasisMetrics, gram_det, metrics, reduction_key, _sqrt
 from .errors import BadBlockingError, DegreeMismatchError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed, pmap
@@ -112,15 +112,17 @@ def fuse(blocks: list[Basis], p: Permutation) -> Basis:
     return apply(Basis(rows), p)
 
 
-def ldsf_run(b: Basis, cfg: LdsfConfig) -> LdsfTrace:
+def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
     """Diffuse / reduce / fuse for M inner iterations per outer pass.
 
     Each outer pass drops the block count by one (floored at 1) and rebinds
     the block size to ceil(m / k).  Stops after an outer pass whose best
     fused shortest vector meets ``target_bound``.  All randomness is derived
     from (seed, outer, inner), so traces replay identically at any pool size.
+    Fused bases span the lattice of ``b``: ``gram`` as in ``metrics``.
     """
     started = time.perf_counter()
+    gram = gram_det(b) if gram is None else gram
     m = b.m
     k = cfg.servers
     current = b
@@ -145,16 +147,13 @@ def ldsf_run(b: Basis, cfg: LdsfConfig) -> LdsfTrace:
                     outer=outer,
                     inner=inner,
                     block_metrics=tuple(metrics(blk) for blk in reduced),
-                    fused_metrics=metrics(current),
+                    fused_metrics=metrics(current, gram),
                     fused_basis=current,
                     permutation=pi,
                 )
             )
-        if cfg.target_bound is not None and _sqrt(best_sq) <= (
-            cfg.target_bound
-            if isinstance(cfg.target_bound, Decimal)
-            else Decimal(str(cfg.target_bound))
-        ):
+        target = cfg.target_bound
+        if target is not None and _sqrt(best_sq) <= Decimal(str(target)):
             reached = True
             break
         k = max(1, k - 1)
@@ -169,16 +168,18 @@ def ldsf_run(b: Basis, cfg: LdsfConfig) -> LdsfTrace:
 
 
 def sigma_candidates(
-    m_blocks: int, n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random
+    m_blocks: int, n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random,
+    gram: int | None = None,
 ) -> list[tuple[Permutation, LdsfTrace]]:
-    """The n permuted LDSF runs underlying ``sigma``, in sample order."""
+    """The n permuted LDSF runs underlying ``sigma``; ``gram`` as in ``ldsf_run``."""
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
+    gram = gram_det(b) if gram is None else gram
     out = []
     for i in range(n_perms):
         pi = sample_right(b.m, rng)
         run_cfg = replace(cfg, servers=m_blocks, seed=derive_seed(cfg.seed, "sigma", i))
-        out.append((pi, ldsf_run(apply(b, pi), run_cfg)))
+        out.append((pi, ldsf_run(apply(b, pi), run_cfg, gram)))
     return out
 
 

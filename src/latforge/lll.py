@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Basis, gso
-from .errors import DependentRowsError
+from .core import Basis, _gso_row, _integral_gso
 
 
 @dataclass(frozen=True)
@@ -53,21 +52,8 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
     rows = [list(r) for r in b.rows]
     p, q = params.alpha.numerator, params.alpha.denominator
 
-    # d[0] = 1, d[i+1] = det(Gram(rows[0..i])); lam[i][j] = mu_ij * d[j+1].
     d = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
-
-    def orthogonalize(k: int) -> None:
-        for j in range(k + 1):
-            u = sum(a * c for a, c in zip(rows[k], rows[j]))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                if u == 0:
-                    raise DependentRowsError(f"row {k} depends on rows above it")
-                d[k + 1] = u
 
     def size_reduce(k: int, l: int) -> None:
         if 2 * abs(lam[k][l]) > d[l + 1]:
@@ -90,13 +76,13 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
             lam[i][k - 1] = (new_d * t + lam_k * lam[i][k]) // d[k + 1]
         d[k] = new_d
 
-    orthogonalize(0)
+    _gso_row(rows, d, lam, 0)
     kmax = 0
     k = 1
     while k < m:
         if k > kmax:
             kmax = k
-            orthogonalize(k)
+            _gso_row(rows, d, lam, k)
         size_reduce(k, k - 1)
         # Lovasz: d[k+1]/d[k] >= (p/q - lam^2/d[k]^2) * d[k]/d[k-1],
         # cross-multiplied by q * d[k] * d[k-1] > 0.
@@ -112,13 +98,14 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
 
 
 def is_lll_reduced(b: Basis, params: LllParams = DEFAULT_PARAMS) -> bool:
-    """Exact check of size reduction and the Lovasz condition."""
-    g = gso(b)
-    half = Fraction(1, 2)
-    for i in range(1, b.m):
-        if any(abs(c) > half for c in g.mu[i]):
+    """Exact check of size reduction (2|lam_kl| <= d[l+1]) and the Lovasz
+    condition on the integral Gram-Schmidt data that ``lll_reduce`` uses."""
+    d, lam = _integral_gso(b)
+    p, q = params.alpha.numerator, params.alpha.denominator
+    for k in range(1, b.m):
+        if any(2 * abs(lam[k][l]) > d[l + 1] for l in range(k)):
             return False
-        mu = g.mu[i][i - 1]
-        if g.normsq[i] < (params.alpha - mu * mu) * g.normsq[i - 1]:
+        lam_k = lam[k][k - 1]
+        if q * (d[k - 1] * d[k + 1] + lam_k * lam_k) < p * d[k] * d[k]:
             return False
     return True

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, metrics, reduction_key
+from .core import Basis, BasisMetrics, gram_det, metrics, reduction_key
 from .errors import BadStageParamsError, StageInfeasibleError
 from .ldsf import LdsfConfig, LdsfTrace, ldsf_run, sigma_candidates
 from .lll import LllParams, lll_reduce
@@ -121,20 +121,22 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
                 f"needs rank >= {need}, got {b0.m}"
             )
     started = time.perf_counter()
+    # Every stage output spans the lattice of b0: one determinant serves all.
+    gram = gram_det(b0)
     current = b0
     reports: list[StageReport] = []
     for index, stage in enumerate(stages, start=1):
-        before = metrics(current)
+        before = metrics(current, gram)
         stage_started = time.perf_counter()
         stage_seed = derive_seed(seed, "stage", index)
         if stage.kind == KIND_LLL:
             current = lll_reduce(current, stage.alpha)
-            after = metrics(current)
+            after = metrics(current, gram)
             llb, lub = after.shortest, after.longest
         elif stage.kind == KIND_LDSF:
-            trace = ldsf_run(current, _ldsf_cfg(stage, stage_seed))
+            trace = ldsf_run(current, _ldsf_cfg(stage, stage_seed), gram)
             current = trace.final_basis
-            after = metrics(current)
+            after = metrics(current, gram)
             llb, lub = _trace_extrema([trace])
         else:
             candidates = sigma_candidates(
@@ -143,10 +145,11 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
                 current,
                 _ldsf_cfg(stage, stage_seed),
                 derive_rng(seed, "stage", index, "perms"),
+                gram,
             )
             _, best = min(candidates, key=lambda c: reduction_key(c[1].final_basis))
             current = best.final_basis
-            after = metrics(current)
+            after = metrics(current, gram)
             llb, lub = _trace_extrema([t for _, t in candidates])
         reports.append(
             StageReport(

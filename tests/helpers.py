@@ -8,6 +8,12 @@ can be validated through a second route.
 (a scan of every vector in the coefficient box) share no algorithm with
 ``hnf`` (modulo-determinant HNF) and ``svp_oracle`` (pruned Schnorr-Euchner
 search), and serve as their references.
+
+``_gram_det_bareiss`` (Bareiss elimination of the Gram matrix) and
+``_is_lll_reduced_fraction`` (the LLL conditions on the rational ``gso``)
+share nothing with the integral Gram-Schmidt kernel behind ``gram_det``,
+``is_lll_reduced`` and ``lll_reduce``, so a fault in that kernel cannot
+pass its own check.
 """
 
 from __future__ import annotations
@@ -15,8 +21,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from latforge import Basis, DependentRowsError, gram_det
+from latforge import Basis, BasisMetrics, DependentRowsError, LllParams, gso, metrics
 from latforge.core import _dot, _xgcd
+from latforge.lll import DEFAULT_PARAMS
 
 
 def solve_coefficients(b: Basis, v: tuple[int, ...]) -> list[Fraction] | None:
@@ -56,11 +63,59 @@ def same_lattice_oracle(a: Basis, b: Basis) -> bool:
     """Mutual row membership plus equal Gram determinants."""
     if a.n != b.n or a.m != b.m:
         return False
-    if gram_det(a) != gram_det(b):
+    if _gram_det_bareiss(a) != _gram_det_bareiss(b):
         return False
     return all(lattice_contains(b, row) for row in a.rows) and all(
         lattice_contains(a, row) for row in b.rows
     )
+
+
+def _bareiss_det(mat: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix."""
+    m = [row[:] for row in mat]
+    size = len(m)
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, size):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _gram_det_bareiss(b: Basis) -> int:
+    """Reference det(B.B^T).  Zero iff the rows are dependent."""
+    return _bareiss_det([[_dot(r, s) for s in b.rows] for r in b.rows])
+
+
+def reference_metrics(b: Basis) -> BasisMetrics:
+    """``metrics`` of ``b`` with the reference determinant of ``b`` itself,
+    to compare against metrics computed with a carried determinant."""
+    return metrics(b, _gram_det_bareiss(b))
+
+
+def _is_lll_reduced_fraction(b: Basis, params: LllParams = DEFAULT_PARAMS) -> bool:
+    """Reference LLL check: |mu_ij| <= 1/2 and the Lovasz condition on the
+    exact rational Gram-Schmidt data."""
+    g = gso(b)
+    half = Fraction(1, 2)
+    for i in range(1, b.m):
+        if any(abs(c) > half for c in g.mu[i]):
+            return False
+        mu = g.mu[i][i - 1]
+        if g.normsq[i] < (params.alpha - mu * mu) * g.normsq[i - 1]:
+            return False
+    return True
 
 
 def _hnf_echelon(rows: list[list[int]]) -> list[list[int]]:

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latforge import Basis, uniform_basis
 from latforge.cli import cli_main
@@ -68,6 +74,18 @@ class TestHc:
             )
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+class TestTarget:
+    @pytest.mark.parametrize(
+        "command", [["hc", "--radius", "4", "--k", "2"], ["ldsf", "--blocks", "2"]]
+    )
+    @pytest.mark.parametrize("target", ["nan", "-NaN", "snan", "inf", "-Infinity"])
+    def test_non_finite_target_is_usage_error(self, rank8, capsys, command, target):
+        assert cli_main([*command, f"--target={target}", "--in", rank8]) == 1
+        err = capsys.readouterr().err
+        assert "decimal must be finite" in err
+        assert "internal error" not in err
 
 
 class TestLdsf:
@@ -159,11 +177,26 @@ class TestSweepAndFreq:
     def test_bad_radius_list(self, rank8):
         assert cli_main(["sweep", "--radii", "5,x", "--in", rank8]) == 1
 
+    @pytest.mark.parametrize("command", ["sweep", "freq"])
+    @pytest.mark.parametrize("radii", [",", " , ,", ""])
+    def test_empty_radius_list_is_usage_error(self, rank8, capsys, command, radii):
+        assert cli_main([command, "--radii", radii, "--in", rank8]) == 1
+        captured = capsys.readouterr()
+        assert "names no radius" in captured.err
+        assert captured.out == ""
+
 
 class TestOracle:
     def test_identity(self, id4, capsys):
         assert cli_main(["oracle", "--bound", "2", "--in", id4]) == 0
         assert "lambda1=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_bad_budget_is_usage_error(self, rank8, capsys, budget):
+        assert cli_main(["oracle", "--budget", budget, "--in", rank8]) == 1
+        err = capsys.readouterr().err
+        assert "coeff_bound and budget must be >= 1" in err
+        assert "computation failed" not in err
 
     def test_budget_exceeded_is_computation_error(self, rank8, capsys):
         code = cli_main(["oracle", "--bound", "9", "--budget", "100", "--in", rank8])
@@ -196,3 +229,93 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "LATFORGE_THREADS must be a positive integer" in err
         assert "internal error" not in err
+
+
+# Inputs for the boundary fuzz: small enough that every command finishes in
+# milliseconds, varied enough to reach every parser and option check.
+_OPTION_TEXT = st.one_of(
+    st.sampled_from(
+        ["nan", "-inf", "snan", "1e999999", "0", "-3", "2", "3/4", "0.99", "1/0",
+         "", ",", "5,x", "2,3", "abc", "1.5", "99/100", "1/4"]
+    ),
+    st.text(alphabet="0123456789.,-+/eEnaifs x", max_size=8),
+)
+_ROWS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=n
+    )
+)
+
+
+def _upper_triangular(rows: list[list[int]]) -> list[list[int]]:
+    """Zeros left of a nonzero diagonal: the rows are independent, so most
+    generated files get past the loader."""
+    return [[0] * i + [r[i] or 1] + r[i + 1 :] for i, r in enumerate(rows)]
+
+
+def _lat(rows: list[list[int]]) -> str:
+    return "[" + "".join(f"[{' '.join(map(str, r))}]" for r in rows) + "]"
+
+
+_LAT_TEXT = st.one_of(
+    _ROWS.map(_upper_triangular).map(_lat),
+    _ROWS.map(_lat),
+    st.text(alphabet="[]0123456789+- \n\tx", max_size=30),
+)
+_STAGE_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), _OPTION_TEXT
+)
+_STAGE_ENTRY = st.one_of(
+    _STAGE_VALUE,
+    st.fixed_dictionaries(
+        {"kind": st.one_of(st.sampled_from(["ldsf", "sigma", "lll"]), _STAGE_VALUE)},
+        optional={
+            key: _STAGE_VALUE
+            for key in ("blocks", "sample", "inner", "outer", "alpha", "target")
+        },
+    ),
+)
+_STAGE_FILE = st.one_of(st.lists(_STAGE_ENTRY, max_size=3), _STAGE_VALUE).map(json.dumps)
+_SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"])
+
+
+def _fuzz_argv(data, lat: str, stages: str) -> list[str]:
+    command = data.draw(
+        st.sampled_from(["lll", "hc", "ldsf", "hybrid", "sweep", "freq", "oracle"])
+    )
+    alpha = data.draw(st.one_of(st.just("3/4"), _OPTION_TEXT))
+    argv = [command, "--in", lat, "--alpha", alpha]
+    if command == "hc":
+        mode = data.draw(st.sampled_from(["--radius", "--r0", "--psl2"]))
+        argv += [mode, data.draw(_SMALL), "--k", "2", "--p", "1"]
+        argv.append("--target=" + data.draw(_OPTION_TEXT))
+    elif command == "ldsf":
+        argv += ["--blocks", data.draw(_SMALL), "--inner", data.draw(_SMALL)]
+        argv.append("--target=" + data.draw(_OPTION_TEXT))
+    elif command == "hybrid":
+        argv += ["--stages", stages]
+    elif command in ("sweep", "freq"):
+        argv += ["--radii=" + data.draw(_OPTION_TEXT), "--samples", "2"]
+    elif command == "oracle":
+        budget = data.draw(st.one_of(_OPTION_TEXT, st.integers(-3, 10**8).map(str)))
+        argv += ["--bound", "1", "--budget=" + budget]
+    return argv
+
+
+class TestBoundaryFuzz:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), lat_text=_LAT_TEXT, stage_text=_STAGE_FILE)
+    def test_exit_codes_and_no_internal_error(self, data, lat_text, stage_text):
+        with tempfile.TemporaryDirectory() as tmp:
+            lat = os.path.join(tmp, "in.lat")
+            stages = os.path.join(tmp, "stages.json")
+            with open(lat, "w", encoding="utf-8") as fh:
+                fh.write(lat_text)
+            with open(stages, "w", encoding="utf-8") as fh:
+                fh.write(stage_text)
+            argv = _fuzz_argv(data, lat, stages)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert "internal error" not in err.getvalue(), (argv, err.getvalue())

@@ -22,6 +22,7 @@ from latforge.parallel import derive_rng
 
 from helpers import (
     _enumerate_box_python,
+    _gram_det_bareiss,
     _hnf_echelon,
     lattice_contains,
     same_lattice_oracle,
@@ -108,6 +109,10 @@ class TestMetrics:
         assert m.shortest == Decimal(10) ** 900
         assert abs(m.log10_weight - 1800) < Decimal("1e-30")
 
+    def test_known_determinant_is_trusted(self):
+        # A passed det(B.B^T) is used as given, not recomputed or checked.
+        assert metrics(Basis.identity(2), gram=36).det_lattice == 6
+
     def test_det_invariant_under_unimodular_transform(self):
         b = uniform_basis(5, -99, 99, seed=8)
         rows = [list(r) for r in b.rows]
@@ -133,6 +138,29 @@ class TestGramDet:
 
     def test_rectangular(self):
         assert gram_det(Basis(((1, 0, 0), (0, 2, 0)))) == 4
+
+    def test_matches_reference(self):
+        for seed in range(5):
+            for b in (
+                uniform_basis(7, -999, 999, seed=seed),
+                knapsack_basis(8, 60, seed=seed),
+                lll_reduce(knapsack_basis(8, 60, seed=seed)),
+                Basis(uniform_basis(5, -99, 99, seed=seed).rows[:3]),
+            ):
+                assert gram_det(b) == _gram_det_bareiss(b)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1, 2), (2, 4)),
+            ((0, 0, 0), (1, 2, 3)),
+            ((1, 0, 0), (0, 1, 0), (1, 1, 0)),
+            ((3, 1, 4, 1), (5, 9, 2, 6), (8, 10, 6, 7)),
+        ],
+    )
+    def test_dependent_rows_are_zero(self, rows):
+        b = Basis(rows)
+        assert gram_det(b) == 0 == _gram_det_bareiss(b)
 
 
 class TestHnf:
@@ -232,6 +260,11 @@ class TestSvpOracle:
     def test_box_budget(self):
         with pytest.raises(BoxTooLargeError):
             svp_oracle(Basis.identity(5), 3, budget=1000)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1, got 1, "):
+            svp_oracle(Basis.identity(2), 1, budget=budget)
 
     def test_result_in_lattice(self):
         b = uniform_basis(4, -9, 9, seed=2)

@@ -17,12 +17,15 @@ from latforge import (
     hc_psl2,
     hc_variable,
     hnf,
+    knapsack_basis,
     lll_reduce,
     metrics,
     radius,
     uniform_basis,
 )
 from latforge.serialize import hc_trace_dict
+
+from helpers import _gram_det_bareiss, reference_metrics
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -91,6 +94,16 @@ class TestFixed:
         assert trace.target_bound == det_bound(b)
         assert trace.det_bound == det_bound(b)
         assert trace.det_bound_met == (trace.best_metrics.shortest <= trace.det_bound)
+
+    def test_carried_determinant_matches_reference(self):
+        b = knapsack_basis(10, bits=40, seed=12)
+        trace = hc_fixed(b, cfg_fixed(6, k=4, p=4, seed=2))
+        assert len(trace.steps) == 4
+        assert trace.initial_metrics == reference_metrics(lll_reduce(b, A34))
+        for step in trace.steps:
+            assert step.after == reference_metrics(step.basis)
+        assert trace.best_metrics == reference_metrics(trace.best_basis)
+        assert trace.det_bound == det_bound(b, _gram_det_bareiss(b))
 
     def test_target_stops_early(self):
         b = uniform_basis(8, -99, 99, seed=7)

@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +25,8 @@ from latforge import ldsf as ldsf_mod
 from latforge.ldsf import block_sizes, sigma_candidates
 from latforge.parallel import derive_rng, derive_seed
 from latforge.serialize import ldsf_trace_dict
+
+from helpers import reference_metrics
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -172,3 +175,34 @@ class TestSigma:
         assert best_short == min(
             metrics(t.final_basis).shortest for _, t in candidates
         )
+
+
+def assert_reference_metrics(trace, servers):
+    """Every fused and block metric of ``trace`` equals the metric of its
+    basis with that basis's own reference determinant.  The blocks are the
+    fused rows put back in concatenation order and split as ``diffuse``."""
+    for rnd in trace.rounds:
+        fused = rnd.fused_basis
+        assert rnd.fused_metrics == reference_metrics(fused)
+        rows = [None] * fused.m
+        for row, image in zip(fused.rows, rnd.permutation.images):
+            rows[image - 1] = row
+        k = max(1, servers - rnd.outer + 1)
+        blocks, at = [], 0
+        for size in block_sizes(fused.m, k, math.ceil(fused.m / k)):
+            blocks.append(Basis(tuple(rows[at : at + size])))
+            at += size
+        assert rnd.block_metrics == tuple(reference_metrics(blk) for blk in blocks)
+
+
+class TestCarriedDeterminant:
+    def test_ldsf_run(self):
+        b = knapsack_basis(9, bits=40, seed=16)
+        assert_reference_metrics(ldsf_run(b, cfg(servers=3, inner=2, outer=3, seed=4)), 3)
+
+    def test_sigma_candidates(self):
+        b = knapsack_basis(8, bits=40, seed=17)
+        base = cfg(servers=2, inner=2, outer=2, seed=8)
+        candidates = sigma_candidates(2, 3, b, base, derive_rng("carried"))
+        for _, trace in candidates:
+            assert_reference_metrics(trace, 2)

@@ -8,13 +8,14 @@ from latforge import (
     LllParams,
     gso,
     is_lll_reduced,
+    knapsack_basis,
     lll_reduce,
     same_lattice,
     svp_oracle,
     uniform_basis,
 )
 
-from helpers import same_lattice_oracle
+from helpers import _is_lll_reduced_fraction, same_lattice_oracle
 
 ALPHAS = [LllParams(Fraction(3, 4)), LllParams("9/10"), LllParams("9999/10000")]
 
@@ -107,3 +108,49 @@ class TestIsReduced:
         b = Basis(((2, 0), (1, 2)))
         assert gso(b).mu[1][0] == Fraction(1, 2)
         assert is_lll_reduced(b, LllParams(Fraction(3, 4)))
+
+    def test_lovasz_equality_is_reduced(self):
+        # ||b2*||^2 == (alpha - mu^2) * ||b1*||^2 exactly: 26/3 on both sides
+        b = Basis(((2, 2, 2), (2, 1, -2)))
+        g = gso(b)
+        assert g.normsq[1] == (Fraction(3, 4) - g.mu[1][0] ** 2) * g.normsq[0]
+        assert is_lll_reduced(b, LllParams(Fraction(3, 4)))
+        assert not is_lll_reduced(b, LllParams("76/100"))
+
+
+class TestIsReducedAgreesWithReference:
+    """The integral-kernel check against the rational-GSO reference."""
+
+    BOUNDARY = [
+        ((2, 0), (1, 2)),  # mu = 1/2
+        ((2, 0), (-1, 2)),  # mu = -1/2
+        ((2, 0), (3, 2)),  # mu = 3/2
+        ((2, 0, 0), (0, 2, 0), (1, 0, 2)),  # mu_31 = 1/2, not adjacent
+        ((2, 0, 0), (0, 2, 0), (-3, 0, 2)),  # mu_31 = -3/2
+        ((2, 2, 2), (2, 1, -2)),  # Lovasz equality at 3/4
+        ((2, 0), (1, 1)),  # mu = 1/2 and Lovasz equality at 1/2
+        ((0, 3), (1, 0)),  # Lovasz fails
+    ]
+
+    def test_seeded_reduced_and_unreduced(self):
+        outcomes = set()
+        for seed in range(5):
+            for b in (uniform_basis(6, -99, 99, seed=seed), knapsack_basis(6, 20, seed=seed)):
+                for candidate in (b, lll_reduce(b, ALPHAS[0]), lll_reduce(b, ALPHAS[2])):
+                    for params in ALPHAS:
+                        got = is_lll_reduced(candidate, params)
+                        assert got == _is_lll_reduced_fraction(candidate, params)
+                        outcomes.add(got)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("rows", BOUNDARY)
+    @pytest.mark.parametrize("alpha", ["1/2", "3/4", "76/100", "9999/10000"])
+    def test_boundary_cases(self, rows, alpha):
+        b, params = Basis(rows), LllParams(alpha)
+        assert is_lll_reduced(b, params) == _is_lll_reduced_fraction(b, params)
+
+    def test_dependent_rows_raise_in_both(self):
+        b = Basis(((1, 2, 3), (0, 1, 1), (2, 5, 7)))
+        for check in (is_lll_reduced, _is_lll_reduced_fraction):
+            with pytest.raises(DependentRowsError):
+                check(b)

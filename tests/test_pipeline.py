@@ -10,6 +10,7 @@ from latforge import (
     default_four_stage,
     hnf,
     is_lll_reduced,
+    knapsack_basis,
     lll_reduce,
     metrics,
     run_pipeline,
@@ -17,6 +18,8 @@ from latforge import (
     uniform_basis,
 )
 from latforge.pipeline import KIND_LDSF, KIND_LLL, KIND_SIGMA, stage_from_dict, stage_to_dict
+
+from helpers import reference_metrics
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -91,6 +94,25 @@ class TestRun:
         r2 = run_pipeline(b, stages, seed=5)
         assert r1.final_basis == r2.final_basis
         assert [s.llb for s in r1.stage_reports] == [s.llb for s in r2.stage_reports]
+
+    def test_carried_determinant_matches_reference(self):
+        # Stage seeds depend only on the stage index, so a run of the first
+        # i stages ends on the basis that stage i handed on.
+        b = knapsack_basis(8, bits=40, seed=8)
+        stages = [
+            StageSpec(kind=KIND_LDSF, alpha=A34, blocks=2, inner_iters=2),
+            StageSpec(kind=KIND_SIGMA, alpha=A34, blocks=2, sample_n=2),
+            StageSpec(kind=KIND_LLL, alpha=LllParams("99/100")),
+        ]
+        report = run_pipeline(b, stages, seed=3)
+        bases = [b] + [
+            run_pipeline(b, stages[:i], seed=3).final_basis
+            for i in range(1, len(stages) + 1)
+        ]
+        assert bases[-1] == report.final_basis
+        for stage, before, after in zip(report.stage_reports, bases, bases[1:]):
+            assert stage.before == reference_metrics(before)
+            assert stage.after == reference_metrics(after)
 
     def test_wall_clock_accumulates(self):
         b = uniform_basis(8, -99, 99, seed=7)
