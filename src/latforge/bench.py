@@ -125,14 +125,3 @@ def improvement_frequency(
         out[r] = wins / n_samples
     return out
 
-
-def normalize(values: Sequence) -> list[Decimal]:
-    """Affine rescale onto [0, 1]; an all-equal input maps to all zeros."""
-    if not values:
-        raise ValueError("normalize needs at least one value")
-    decs = [v if isinstance(v, Decimal) else Decimal(str(v)) for v in values]
-    lo, hi = min(decs), max(decs)
-    if lo == hi:
-        return [Decimal(0)] * len(decs)
-    span = hi - lo
-    return [REAL.divide(v - lo, span) for v in decs]

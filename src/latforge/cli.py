@@ -18,15 +18,7 @@ from . import serialize
 from .bench import improvement_frequency, radius_sweep
 from .core import Basis, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
-from .hillclimb import (
-    FixedRadius,
-    HcConfig,
-    Psl2,
-    VariableRadius,
-    hc_fixed,
-    hc_psl2,
-    hc_variable,
-)
+from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
 from .latfile import load_lattice
 from .ldsf import LdsfConfig, ldsf_run
 from .lll import LllParams, lll_reduce
@@ -85,7 +77,9 @@ def build_parser() -> argparse.ArgumentParser:
     hc = sub.add_parser("hc", parents=[common], help="hill climbing reduction")
     hc.add_argument("--radius", type=int, help="fixed-radius walk")
     hc.add_argument("--r0", type=int, help="starting radius of a variable walk")
-    hc.add_argument("--rstep", type=int, default=1, help="radius increment per step")
+    hc.add_argument(
+        "--rstep", type=int, help="radius increment per step of an --r0 walk (default 1)"
+    )
     hc.add_argument("--psl2", type=int, help="prime p for the PSL(2,p) walk")
     hc.add_argument("--k", type=int, default=10, help="permutations per step")
     hc.add_argument("--p", type=int, default=5, help="maximum steps")
@@ -157,15 +151,14 @@ def _cmd_hc(args, basis: Basis) -> int:
     chosen = [x for x in (args.radius, args.r0, args.psl2) if x is not None]
     if len(chosen) != 1:
         raise ValueError("pass exactly one of --radius, --r0, --psl2")
+    if args.rstep is not None and args.r0 is None:
+        raise ValueError("--rstep applies only to an --r0 walk")
     if args.radius is not None:
         kind = FixedRadius(args.radius)
-        runner = hc_fixed
     elif args.r0 is not None:
-        kind = VariableRadius(args.r0, args.rstep)
-        runner = hc_variable
+        kind = VariableRadius(args.r0, 1 if args.rstep is None else args.rstep)
     else:
         kind = Psl2(args.psl2)
-        runner = hc_psl2
     cfg = HcConfig(
         kind=kind,
         sample_size=args.k,
@@ -174,7 +167,7 @@ def _cmd_hc(args, basis: Basis) -> int:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = runner(basis, cfg)
+    trace = hill_climb(basis, cfg)
     print(
         f"hc: best shortest={trace.best_metrics.shortest:.6g} "
         f"steps={len(trace.steps)} reached_target={trace.reached_target}"

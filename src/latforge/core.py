@@ -142,6 +142,12 @@ def _log10(value: int) -> Decimal:
     return REAL.log10(Decimal(value))
 
 
+def int_str(x: int) -> str:
+    """``str(x)`` without Python's cap on int-to-str conversion (4,300 digits
+    by default): Decimal renders an integer of any length exactly."""
+    return str(Decimal(x))
+
+
 def metrics(b: Basis, gram: int | None = None) -> BasisMetrics:
     """Shortest/longest row norms, log10 of the norm product, lattice det.
     ``gram`` is det(B.B^T) if the caller knows it: trusted, not checked."""

@@ -19,7 +19,7 @@ from . import perm
 from .core import REAL, Basis, BasisMetrics, gram_det, metrics, reduction_key, _sqrt
 from .errors import DegreeMismatchError, InfeasibleRadiusError
 from .lll import LllParams, lll_reduce
-from .parallel import derive_rng, pmap
+from .parallel import derive_rng
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,46 @@ def det_bound(b: Basis, gram: int | None = None) -> Decimal:
 Sampler = Callable[[int], list[perm.Permutation]]
 
 
-def _climb(b0: Basis, cfg: HcConfig, sampler: Sampler) -> HcTrace:
+def _sampler(m: int, cfg: HcConfig) -> Sampler:
+    """Step index -> the k permutations of that step, for the walk that
+    ``cfg.kind`` names; the radius or degree is checked here, up front."""
+    kind = cfg.kind
+    if isinstance(kind, Psl2):
+        if m != kind.prime + 1:
+            raise DegreeMismatchError(
+                f"PSL(2,{kind.prime}) acts on {kind.prime + 1} points, basis rank is {m}"
+            )
+        return lambda step: perm.psl2_permutations(
+            kind.prime, cfg.sample_size, derive_rng(cfg.seed, "hc", step)
+        )
+    if isinstance(kind, FixedRadius):
+        r0, rstep = kind.radius, 0
+    else:
+        r0, rstep = kind.r0, kind.rstep
+    if r0 == 1 or r0 < 0 or r0 > m:
+        raise InfeasibleRadiusError(
+            f"no permutation of degree {m} moves exactly {r0} points"
+        )
+
+    def sampler(step: int) -> list[perm.Permutation]:
+        r = min(m, r0 + (step - 1) * rstep)
+        return [
+            perm.sample_at_radius(m, r, derive_rng(cfg.seed, "hc", step, j))
+            for j in range(cfg.sample_size)
+        ]
+
+    return sampler
+
+
+def hill_climb(b0: Basis, cfg: HcConfig) -> HcTrace:
+    """Walk from lll(b0) over row permutations drawn as ``cfg.kind`` says.
+
+    FixedRadius samples one sphere of S_m every step; VariableRadius starts
+    at r0 and grows the radius by rstep per step, clamped at m (the draws are
+    right permutations once the schedule passes m/2); Psl2 draws elements of
+    PSL(2,p) acting on p+1 points, so the rank must be p+1.
+    """
+    sampler = _sampler(b0.m, cfg)
     started = time.perf_counter()
     current = lll_reduce(b0, cfg.alpha)
     best = current
@@ -116,10 +155,7 @@ def _climb(b0: Basis, cfg: HcConfig, sampler: Sampler) -> HcTrace:
     while i <= cfg.max_steps and not reached:
         step_started = time.perf_counter()
         sample = sampler(i)
-        frozen = current
-        candidates = pmap(
-            lambda pi: lll_reduce(perm.apply(frozen, pi), cfg.alpha), sample
-        )
+        candidates = [lll_reduce(perm.apply(current, pi), cfg.alpha) for pi in sample]
         keyed = [reduction_key(c) for c in candidates]
         j = min(range(len(candidates)), key=keyed.__getitem__)
         current = candidates[j]
@@ -153,65 +189,3 @@ def _climb(b0: Basis, cfg: HcConfig, sampler: Sampler) -> HcTrace:
         det_bound_met=best_metrics.shortest <= bound,
         seconds=time.perf_counter() - started,
     )
-
-
-def _check_radius(m: int, r: int) -> None:
-    if r == 1 or r < 0 or r > m:
-        raise InfeasibleRadiusError(
-            f"no permutation of degree {m} moves exactly {r} points"
-        )
-
-
-def hc_fixed(b0: Basis, cfg: HcConfig) -> HcTrace:
-    """Spherical walk: every step samples k permutations of one radius."""
-    kind = cfg.kind
-    if not isinstance(kind, FixedRadius):
-        raise ValueError("hc_fixed needs a FixedRadius config")
-    _check_radius(b0.m, kind.radius)
-
-    def sampler(step: int) -> list[perm.Permutation]:
-        return [
-            perm.sample_at_radius(b0.m, kind.radius, derive_rng(cfg.seed, "hc", step, j))
-            for j in range(cfg.sample_size)
-        ]
-
-    return _climb(b0, cfg, sampler)
-
-
-def hc_variable(b0: Basis, cfg: HcConfig) -> HcTrace:
-    """Spiral walk: the sampling radius grows by rstep per step, clamped at m.
-
-    Intended for right radii; the sample at a given radius is exact, so the
-    draws are right permutations as soon as the schedule passes m/2.
-    """
-    kind = cfg.kind
-    if not isinstance(kind, VariableRadius):
-        raise ValueError("hc_variable needs a VariableRadius config")
-    _check_radius(b0.m, kind.r0)
-
-    def sampler(step: int) -> list[perm.Permutation]:
-        r = min(b0.m, kind.r0 + (step - 1) * kind.rstep)
-        return [
-            perm.sample_at_radius(b0.m, r, derive_rng(cfg.seed, "hc", step, j))
-            for j in range(cfg.sample_size)
-        ]
-
-    return _climb(b0, cfg, sampler)
-
-
-def hc_psl2(b0: Basis, cfg: HcConfig) -> HcTrace:
-    """Fixed walk with samples drawn from PSL(2,p) acting on p+1 points."""
-    kind = cfg.kind
-    if not isinstance(kind, Psl2):
-        raise ValueError("hc_psl2 needs a Psl2 config")
-    if b0.m != kind.prime + 1:
-        raise DegreeMismatchError(
-            f"PSL(2,{kind.prime}) acts on {kind.prime + 1} points, basis rank is {b0.m}"
-        )
-
-    def sampler(step: int) -> list[perm.Permutation]:
-        return perm.psl2_permutations(
-            kind.prime, cfg.sample_size, derive_rng(cfg.seed, "hc", step)
-        )
-
-    return _climb(b0, cfg, sampler)

@@ -9,8 +9,9 @@ are free-form; anything else is a parse error with a line/column position.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
-from .core import Basis, is_independent
+from .core import Basis, int_str, is_independent
 from .errors import ParseError, RankDeficientError
 
 
@@ -60,13 +61,14 @@ class _Scanner:
             self.pos += 1
             self.col += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
             self.col += 1
         if self.pos == digits:
             self.col = start_col
             raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        # Through Decimal: int() of a string is capped at 4,300 digits.
+        return int(Decimal(self.text[start : self.pos]))
 
 
 def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
@@ -120,7 +122,7 @@ def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
     basis = Basis.from_rows(rows)
     if not is_independent(basis):
         raise RankDeficientError("rows are linearly dependent")
-    digits = max(len(str(abs(x))) for row in rows for x in row)
+    digits = len(int_str(max(abs(x) for row in rows for x in row)))
     return LatticeFile(
         basis=basis,
         source=source,
@@ -132,7 +134,7 @@ def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
 
 
 def format_lattice(b: Basis) -> str:
-    body = "\n".join("[" + " ".join(str(x) for x in row) + "]" for row in b.rows)
+    body = "\n".join("[" + " ".join(map(int_str, row)) + "]" for row in b.rows)
     return f"[{body}\n]\n"
 
 

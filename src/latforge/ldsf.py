@@ -1,11 +1,12 @@
 """Lattice diffusion and sublattice fusion.
 
 One inner iteration shuffles the rows, cuts them into disjoint blocks,
-reduces every block independently (the worker-pool boundary), concatenates
-the reduced blocks and rearranges the result with a fresh right permutation.
+reduces every block independently, concatenates the reduced blocks and
+rearranges the result with a fresh right permutation.
 The outer loop drops the block count by one each pass, so blocks grow until
-the reduction is effectively whole-basis.  Sigma wraps the whole run in a
-best-of-n sample of starting permutations.
+the reduction is effectively whole-basis.  ``sigma_candidates`` runs it
+from n sampled starting permutations; a sigma stage of ``run_pipeline``
+keeps the best of them.
 """
 
 from __future__ import annotations
@@ -16,17 +17,17 @@ import time
 from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, gram_det, metrics, reduction_key, _sqrt
+from .core import Basis, BasisMetrics, gram_det, metrics, _sqrt
 from .errors import BadBlockingError, DegreeMismatchError
 from .lll import LllParams, lll_reduce
-from .parallel import derive_rng, derive_seed, pmap
+from .parallel import derive_rng, derive_seed
 from .perm import Permutation, apply, sample_right
 
 
 @dataclass(frozen=True)
 class LdsfConfig:
-    """Block count (= worker count), loop depths, stop bound.  Blocks hold
-    ceil(m / servers) rows each; see ``ldsf_run``."""
+    """Block count, loop depths, stop bound.  Blocks hold ceil(m / servers)
+    rows each; see ``ldsf_run``."""
 
     servers: int
     inner_iters: int = 1
@@ -118,7 +119,7 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
     Each outer pass drops the block count by one (floored at 1) and rebinds
     the block size to ceil(m / k).  Stops after an outer pass whose best
     fused shortest vector meets ``target_bound``.  All randomness is derived
-    from (seed, outer, inner), so traces replay identically at any pool size.
+    from (seed, outer, inner), so traces replay identically.
     Fused bases span the lattice of ``b``: ``gram`` as in ``metrics``.
     """
     started = time.perf_counter()
@@ -136,7 +137,7 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
             blocks = diffuse(
                 current, k, beta, derive_rng(cfg.seed, "ldsf", outer, inner, "cut")
             )
-            reduced = pmap(lambda blk: lll_reduce(blk, cfg.alpha), blocks)
+            reduced = [lll_reduce(blk, cfg.alpha) for blk in blocks]
             pi = sample_right(m, derive_rng(cfg.seed, "ldsf", outer, inner, "mix"))
             current = fuse(reduced, pi)
             fused_min_sq = min(current.row_normsq(i) for i in range(m))
@@ -171,7 +172,9 @@ def sigma_candidates(
     m_blocks: int, n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random,
     gram: int | None = None,
 ) -> list[tuple[Permutation, LdsfTrace]]:
-    """The n permuted LDSF runs underlying ``sigma``; ``gram`` as in ``ldsf_run``."""
+    """LDSF runs from n sampled right permutations of b, each with its
+    permutation; a sigma stage keeps the run whose final basis has the least
+    ``reduction_key``.  ``gram`` as in ``ldsf_run``."""
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
     gram = gram_det(b) if gram is None else gram
@@ -182,11 +185,3 @@ def sigma_candidates(
         out.append((pi, ldsf_run(apply(b, pi), run_cfg, gram)))
     return out
 
-
-def sigma(
-    m_blocks: int, n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random
-) -> Basis:
-    """Best final basis of LDSF over n sampled right permutations of b."""
-    candidates = sigma_candidates(m_blocks, n_perms, b, cfg, rng)
-    _, best = min(candidates, key=lambda c: reduction_key(c[1].final_basis))
-    return best.final_basis

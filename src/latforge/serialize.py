@@ -12,14 +12,14 @@ import json
 from decimal import Decimal
 
 from .bench import SweepResult, format_real
-from .core import Basis, BasisMetrics, SvpResult
+from .core import Basis, BasisMetrics, SvpResult, int_str
 from .hillclimb import HcTrace
 from .ldsf import LdsfTrace
 from .pipeline import PipelineReport
 
 
 def basis_entries(b: Basis) -> list[list[str]]:
-    return [[str(x) for x in row] for row in b.rows]
+    return [[int_str(x) for x in row] for row in b.rows]
 
 
 def metrics_dict(m: BasisMetrics) -> dict:
@@ -94,7 +94,7 @@ def pipeline_report_dict(report: PipelineReport) -> dict:
 
 def svp_dict(result: SvpResult) -> dict:
     return {
-        "vector": [str(x) for x in result.vector],
+        "vector": [int_str(x) for x in result.vector],
         "lambda1": format_real(result.lambda1),
         "count_checked": result.count_checked,
     }

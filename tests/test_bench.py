@@ -1,10 +1,6 @@
 from decimal import Decimal
 from fractions import Fraction
 
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
 from latforge import (
     Basis,
     LllParams,
@@ -12,7 +8,6 @@ from latforge import (
     knapsack_basis,
     lll_reduce,
     metrics,
-    normalize,
     radius_sweep,
     uniform_basis,
 )
@@ -90,28 +85,3 @@ class TestImprovementFrequency:
         for value in freqs.values():
             assert 0.0 <= value <= 1.0
             assert (value * 8) == int(value * 8)
-
-
-class TestNormalize:
-    def test_simple(self):
-        assert normalize([2, 4, 6]) == [0, Decimal("0.5"), 1]
-
-    def test_degenerate_all_equal(self):
-        assert normalize([5, 5, 5]) == [0, 0, 0]
-
-    def test_extremes_map_to_unit_interval_ends(self):
-        values = [3.5, -2.0, 10.0, 4.25]
-        out = normalize(values)
-        assert out[values.index(min(values))] == 0
-        assert out[values.index(max(values))] == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize([])
-
-    @given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=30))
-    def test_range_property(self, values):
-        out = normalize(values)
-        assert all(0 <= v <= 1 for v in out)
-        if min(values) != max(values):
-            assert min(out) == 0 and max(out) == 1

@@ -42,6 +42,14 @@ class TestLll:
             assert cli_main(["lll", "--in", rank8, "--seed", "5", "--report", str(path)]) == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    def test_entry_of_5000_digits(self, tmp_path):
+        big = "1" * 5000  # over Python's 4,300-digit int <-> str limit
+        lat, report = tmp_path / "big.lat", tmp_path / "r.json"
+        lat.write_text(f"[[{big} 0][0 1]]")
+        assert cli_main(["lll", "--in", str(lat), "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert big in [x for row in payload["basis"] for x in row]
+
 
 class TestHc:
     def test_infeasible_radius_is_usage_error(self, rank8, capsys):
@@ -64,6 +72,23 @@ class TestHc:
         assert cli_main(["hc", "--in", rank8]) == 1
         assert cli_main(["hc", "--radius", "4", "--r0", "5", "--in", rank8]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mode", [["--radius", "4"], ["--psl2", "7"]], ids=["radius", "psl2"]
+    )
+    @pytest.mark.parametrize("rstep", ["0", "-3", "2"])
+    def test_rstep_without_r0_is_usage_error(self, rank8, capsys, mode, rstep):
+        assert cli_main(["hc", *mode, "--rstep", rstep, "--k", "2", "--in", rank8]) == 1
+        assert "--rstep applies only to an --r0 walk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rstep,radii", [([], [4, 5, 6]), (["--rstep", "3"], [4, 7, 8])])
+    def test_rstep_schedule(self, rank8, tmp_path, rstep, radii):
+        report = tmp_path / "hc.json"
+        argv = ["hc", "--r0", "4", *rstep, "--k", "2", "--p", "3", "--target", "0"]
+        assert cli_main([*argv, "--in", rank8, "--report", str(report)]) == 0
+        steps = json.loads(report.read_text())["steps"]
+        moved = [sum(img != i for i, img in enumerate(s["permutation"], 1)) for s in steps]
+        assert moved == radii
 
     def test_report_byte_identical(self, rank8, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -220,15 +245,6 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_count_is_usage_error(self, rank8, monkeypatch, capsys, value):
-        monkeypatch.setenv("LATFORGE_THREADS", value)
-        code = cli_main(["ldsf", "--blocks", "2", "--in", rank8])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "LATFORGE_THREADS must be a positive integer" in err
-        assert "internal error" not in err
 
 
 # Inputs for the boundary fuzz: small enough that every command finishes in

@@ -13,9 +13,7 @@ from latforge import (
     Psl2,
     VariableRadius,
     det_bound,
-    hc_fixed,
-    hc_psl2,
-    hc_variable,
+    hill_climb,
     hnf,
     knapsack_basis,
     lll_reduce,
@@ -44,18 +42,18 @@ def cfg_fixed(r, k=10, p=5, seed=0, target=0):
 class TestFixed:
     def test_identity_already_optimal(self):
         b = Basis.identity(6)
-        trace = hc_fixed(b, cfg_fixed(4, k=3, p=2))
+        trace = hill_climb(b, cfg_fixed(4, k=3, p=2))
         assert trace.best_metrics.shortest == 1
         assert trace.best_basis == b
 
     def test_never_worse_than_plain_reduction(self):
         b = uniform_basis(10, -99, 99, seed=1)
-        trace = hc_fixed(b, cfg_fixed(8))
+        trace = hill_climb(b, cfg_fixed(8))
         assert trace.best_metrics.shortest <= metrics(lll_reduce(b, A34)).shortest
 
     def test_global_best_non_increasing(self):
         b = uniform_basis(10, -99, 99, seed=2)
-        trace = hc_fixed(b, cfg_fixed(8))
+        trace = hill_climb(b, cfg_fixed(8))
         best = trace.initial_metrics.shortest
         for step in trace.steps:
             best = min(best, step.after.shortest)
@@ -63,41 +61,33 @@ class TestFixed:
 
     def test_lattice_preserved_at_every_step(self):
         b = uniform_basis(8, -99, 99, seed=3)
-        trace = hc_fixed(b, cfg_fixed(6, k=5, p=3))
+        trace = hill_climb(b, cfg_fixed(6, k=5, p=3))
         h = hnf(b)
         assert hnf(trace.best_basis) == h
         assert all(hnf(step.basis) == h for step in trace.steps)
 
     def test_deterministic(self):
         b = uniform_basis(8, -99, 99, seed=4)
-        t1 = hc_fixed(b, cfg_fixed(6, k=5, p=3, seed=11))
-        t2 = hc_fixed(b, cfg_fixed(6, k=5, p=3, seed=11))
+        t1 = hill_climb(b, cfg_fixed(6, k=5, p=3, seed=11))
+        t2 = hill_climb(b, cfg_fixed(6, k=5, p=3, seed=11))
         assert hc_trace_dict(t1) == hc_trace_dict(t2)
-
-    def test_candidate_pool_size_does_not_change_result(self, monkeypatch):
-        b = uniform_basis(8, -99, 99, seed=12)
-        monkeypatch.setenv("LATFORGE_THREADS", "1")
-        serial = hc_trace_dict(hc_fixed(b, cfg_fixed(6, k=6, p=3, seed=2)))
-        monkeypatch.setenv("LATFORGE_THREADS", "6")
-        pooled = hc_trace_dict(hc_fixed(b, cfg_fixed(6, k=6, p=3, seed=2)))
-        assert serial == pooled
 
     def test_infeasible_radius(self):
         b = uniform_basis(6, -9, 9, seed=5)
         with pytest.raises(InfeasibleRadiusError):
-            hc_fixed(b, cfg_fixed(1))
+            hill_climb(b, cfg_fixed(1))
 
     def test_default_target_is_det_bound(self):
         b = uniform_basis(6, -99, 99, seed=6)
         cfg = HcConfig(kind=FixedRadius(4), sample_size=3, max_steps=2, alpha=A34)
-        trace = hc_fixed(b, cfg)
+        trace = hill_climb(b, cfg)
         assert trace.target_bound == det_bound(b)
         assert trace.det_bound == det_bound(b)
         assert trace.det_bound_met == (trace.best_metrics.shortest <= trace.det_bound)
 
     def test_carried_determinant_matches_reference(self):
         b = knapsack_basis(10, bits=40, seed=12)
-        trace = hc_fixed(b, cfg_fixed(6, k=4, p=4, seed=2))
+        trace = hill_climb(b, cfg_fixed(6, k=4, p=4, seed=2))
         assert len(trace.steps) == 4
         assert trace.initial_metrics == reference_metrics(lll_reduce(b, A34))
         for step in trace.steps:
@@ -109,7 +99,7 @@ class TestFixed:
         b = uniform_basis(8, -99, 99, seed=7)
         baseline = metrics(lll_reduce(b, A34)).shortest
         cfg = cfg_fixed(6, k=3, p=5, target=float(baseline) * 2)
-        trace = hc_fixed(b, cfg)
+        trace = hill_climb(b, cfg)
         assert trace.reached_target
         assert len(trace.steps) == 0  # the initial reduction already meets it
 
@@ -125,7 +115,7 @@ class TestVariable:
             target_bound=0,
             seed=0,
         )
-        trace = hc_variable(b, cfg)
+        trace = hill_climb(b, cfg)
         assert [radius(s.permutation).radius for s in trace.steps] == [6, 8, 10, 10]
 
     def test_start_at_full_radius_stays_clamped(self):
@@ -138,7 +128,7 @@ class TestVariable:
             target_bound=0,
             seed=0,
         )
-        trace = hc_variable(b, cfg)
+        trace = hill_climb(b, cfg)
         assert [radius(s.permutation).radius for s in trace.steps] == [6, 6, 6]
 
     def test_soft_runtime_claim_on_pinned_seeds(self):
@@ -159,8 +149,8 @@ class TestVariable:
                 target_bound=0,
                 seed=seed,
             )
-            fixed_steps.append(best_step(hc_fixed(b, fcfg)))
-            var_steps.append(best_step(hc_variable(b, vcfg)))
+            fixed_steps.append(best_step(hill_climb(b, fcfg)))
+            var_steps.append(best_step(hill_climb(b, vcfg)))
         assert statistics.median(var_steps) <= statistics.median(fixed_steps)
 
     def test_rstep_validation(self):
@@ -179,7 +169,7 @@ class TestPsl2Walk:
         cfg = HcConfig(
             kind=Psl2(3), sample_size=5, max_steps=2, alpha=A34, target_bound=0
         )
-        trace = hc_psl2(b, cfg)
+        trace = hill_climb(b, cfg)
         assert trace.best_metrics.shortest == 1
 
     def test_lattice_preserved(self):
@@ -187,7 +177,7 @@ class TestPsl2Walk:
         cfg = HcConfig(
             kind=Psl2(5), sample_size=5, max_steps=3, alpha=A34, target_bound=0
         )
-        trace = hc_psl2(b, cfg)
+        trace = hill_climb(b, cfg)
         h = hnf(b)
         assert all(hnf(step.basis) == h for step in trace.steps)
 
@@ -197,4 +187,4 @@ class TestPsl2Walk:
             kind=Psl2(7), sample_size=2, max_steps=1, alpha=A34, target_bound=0
         )
         with pytest.raises(DegreeMismatchError):
-            hc_psl2(b, cfg)
+            hill_climb(b, cfg)

@@ -29,6 +29,14 @@ class TestParse:
         lat = parse_lattice(f"[[{big} 0][0 1]]")
         assert lat.basis.rows[0][0] == big
 
+    def test_entry_longer_than_int_str_limit(self):
+        # Python caps int <-> str conversion at 4,300 digits by default.
+        big = 7 * (10**5000 - 1) // 9  # 5000 sevens
+        lat = parse_lattice(f"[[{'7' * 5000} 0][0 1]]")
+        assert lat.basis.rows[0][0] == big
+        assert any("5000 digit" in d for d in lat.diagnostics)
+        assert parse_lattice(format_lattice(lat.basis)).basis == lat.basis
+
     def test_bytes_input(self):
         assert parse_lattice(b"[[2 0][0 2]]").basis.rows == ((2, 0), (0, 2))
 
@@ -57,6 +65,9 @@ class TestParseErrors:
             ("[[1 0][0 1]] trailing", 1, 14),
             ("[[1 0][0 1 2]]", 1, 7),  # error points at the offending row
             ("[[]]", 1, 4),
+            ("[[1 \u00b2][0 1]]", 1, 5),  # superscript two: a digit, not ASCII
+            ("[[1 0][0 \u0663]]", 1, 10),  # Arabic-Indic three
+            ("[[1 0][0 1\u0663]]", 1, 11),
         ],
     )
     def test_position_reported(self, text, line, col):

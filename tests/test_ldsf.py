@@ -11,6 +11,7 @@ from latforge import (
     LdsfConfig,
     LllParams,
     Permutation,
+    StageSpec,
     diffuse,
     fuse,
     hnf,
@@ -18,13 +19,12 @@ from latforge import (
     ldsf_run,
     lll_reduce,
     metrics,
-    sigma,
+    run_pipeline,
     uniform_basis,
 )
 from latforge import ldsf as ldsf_mod
 from latforge.ldsf import block_sizes, sigma_candidates
 from latforge.parallel import derive_rng, derive_seed
-from latforge.serialize import ldsf_trace_dict
 
 from helpers import reference_metrics
 
@@ -126,14 +126,6 @@ class TestRun:
         trace = ldsf_run(b, cfg(servers=3, inner=2, outer=2))
         assert trace.final_basis.max_abs_entry() < b.max_abs_entry()
 
-    def test_deterministic_across_pool_sizes(self, monkeypatch):
-        b = uniform_basis(10, -999, 999, seed=11)
-        monkeypatch.setenv("LATFORGE_THREADS", "1")
-        serial = ldsf_trace_dict(ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=3)))
-        monkeypatch.setenv("LATFORGE_THREADS", "8")
-        threaded = ldsf_trace_dict(ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=3)))
-        assert serial == threaded
-
     def test_target_stops_after_outer_pass(self):
         b = uniform_basis(8, -99, 99, seed=12)
         huge_target = float(metrics(b).longest) * 10
@@ -148,31 +140,41 @@ class TestRun:
             LdsfConfig(servers=1, inner_iters=0)
 
 
+def sigma_stage(b, blocks, sample, inner=1, seed=0):
+    """Final basis of a pipeline whose only stage is sigma."""
+    stage = StageSpec(
+        kind="sigma", alpha=A34, blocks=blocks, sample_n=sample, inner_iters=inner
+    )
+    return run_pipeline(b, [stage], seed=seed).final_basis
+
+
 class TestSigma:
+    """The best-of-n selection, as a sigma stage of ``run_pipeline`` makes it."""
+
     def test_identity_permutation_degenerates_to_plain_run(self, monkeypatch):
         b = uniform_basis(8, -99, 99, seed=13)
         monkeypatch.setattr(
             ldsf_mod, "sample_right", lambda m, rng: Permutation.identity(m)
         )
-        base = cfg(servers=2, inner=2, seed=21)
-        got = sigma(2, 1, b, base, derive_rng("sig"))
+        got = sigma_stage(b, 2, 1, inner=2, seed=21)
+        run_seed = derive_seed(derive_seed(21, "stage", 1), "sigma", 0)
         expect = ldsf_run(
-            b, LdsfConfig(servers=2, inner_iters=2, alpha=A34, seed=derive_seed(21, "sigma", 0))
+            b, LdsfConfig(servers=2, inner_iters=2, alpha=A34, seed=run_seed)
         ).final_basis
         assert got == expect
 
     def test_lattice_preserved(self):
         b = uniform_basis(9, -99, 99, seed=14)
-        out = sigma(3, 3, b, cfg(servers=3, seed=5), derive_rng("sig2"))
+        out = sigma_stage(b, 3, 3, seed=5)
         assert hnf(out) == hnf(b)
 
     def test_best_of_sample_selection(self):
         b = uniform_basis(9, -999, 999, seed=15)
-        base = cfg(servers=3, inner=2, seed=6)
-        candidates = sigma_candidates(3, 5, b, base, derive_rng("sig3"))
-        best = sigma(3, 5, b, base, derive_rng("sig3"))
-        best_short = metrics(best).shortest
-        assert best_short == min(
+        best = sigma_stage(b, 3, 5, inner=2, seed=6)
+        base = cfg(servers=3, inner=2, seed=derive_seed(6, "stage", 1))
+        candidates = sigma_candidates(3, 5, b, base, derive_rng(6, "stage", 1, "perms"))
+        assert best in [t.final_basis for _, t in candidates]
+        assert metrics(best).shortest == min(
             metrics(t.final_basis).shortest for _, t in candidates
         )
 
