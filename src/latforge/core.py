@@ -10,9 +10,10 @@ inputs can run to hundreds of digits and would overflow a float.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import BoxTooLargeError, DependentRowsError
@@ -82,15 +83,50 @@ class GsoData:
     normsq: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class BasisMetrics:
     """Reported lengths of a basis: shortest row, longest row, log10 of the
-    product of row norms, and the lattice determinant sqrt(det(B.B^T))."""
+    product of row norms, and the lattice determinant sqrt(det(B.B^T)).
 
-    shortest: Decimal
-    longest: Decimal
-    log10_weight: Decimal
-    det_lattice: Decimal
+    Holds the exact squared row norms, the basis and det(B.B^T) when known;
+    each value is computed from them on first read and kept, so a value
+    never read costs nothing.  ``==`` compares the four values.
+    """
+
+    def __init__(self, b: Basis, gram: int | None = None):
+        self._basis = b
+        self._gram = gram
+        self._normsqs = [b.row_normsq(i) for i in range(b.m)]
+
+    @cached_property
+    def shortest(self) -> Decimal:
+        return _sqrt(min(self._normsqs))
+
+    @cached_property
+    def longest(self) -> Decimal:
+        return _sqrt(max(self._normsqs))
+
+    @cached_property
+    def log10_weight(self) -> Decimal:
+        total = sum((_log10(nsq) for nsq in self._normsqs), Decimal(0))
+        return REAL.divide(total, Decimal(2))
+
+    @cached_property
+    def det_lattice(self) -> Decimal:
+        return _sqrt(gram_det(self._basis) if self._gram is None else self._gram)
+
+    def _values(self) -> tuple[Decimal, Decimal, Decimal, Decimal]:
+        return (self.shortest, self.longest, self.log10_weight, self.det_lattice)
+
+    def __eq__(self, other):
+        if not isinstance(other, BasisMetrics):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"BasisMetrics{self._values()}"
 
 
 @dataclass(frozen=True)
@@ -149,18 +185,10 @@ def int_str(x: int) -> str:
 
 
 def metrics(b: Basis, gram: int | None = None) -> BasisMetrics:
-    """Shortest/longest row norms, log10 of the norm product, lattice det.
-    ``gram`` is det(B.B^T) if the caller knows it: trusted, not checked."""
-    normsqs = [b.row_normsq(i) for i in range(b.m)]
-    log10_weight = REAL.divide(
-        sum((_log10(nsq) for nsq in normsqs), Decimal(0)), Decimal(2)
-    )
-    return BasisMetrics(
-        shortest=_sqrt(min(normsqs)),
-        longest=_sqrt(max(normsqs)),
-        log10_weight=log10_weight,
-        det_lattice=_sqrt(gram_det(b) if gram is None else gram),
-    )
+    """Shortest/longest row norms, log10 of the norm product, lattice det,
+    each computed on first read.  ``gram`` is det(B.B^T) if the caller
+    knows it: trusted, not checked."""
+    return BasisMetrics(b, gram)
 
 
 def reduction_key(b: Basis) -> tuple[int, int, int]:

@@ -118,6 +118,13 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
         raise InfeasibleRadiusError(
             f"no permutation of degree {m} moves exactly {r0} points"
         )
+    # Step i samples radius min(m, r0 + (i-1)*rstep), which never falls, so
+    # from r0 = 0 only step 2 can land on the infeasible radius 1.
+    if r0 == 0 and min(m, rstep) == 1 and cfg.max_steps > 1:
+        raise InfeasibleRadiusError(
+            f"step 2 of the walk from r0 = 0 by rstep {rstep} has radius 1: "
+            f"no permutation of degree {m} moves exactly 1 point"
+        )
 
     def sampler(step: int) -> list[perm.Permutation]:
         r = min(m, r0 + (step - 1) * rstep)

@@ -9,7 +9,6 @@ are deliberately left out of these views for the same reason.
 from __future__ import annotations
 
 import json
-from decimal import Decimal
 
 from .bench import SweepResult, format_real
 from .core import Basis, BasisMetrics, SvpResult, int_str

@@ -14,15 +14,20 @@ search), and serve as their references.
 share nothing with the integral Gram-Schmidt kernel behind ``gram_det``,
 ``is_lll_reduced`` and ``lll_reduce``, so a fault in that kernel cannot
 pass its own check.
+
+``eager_metrics`` computes the four metric values all at once, with the
+reference determinant, as the reference for the lazy ``BasisMetrics``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 from latforge import Basis, BasisMetrics, DependentRowsError, LllParams, gso, metrics
-from latforge.core import _dot, _xgcd
+from latforge.core import REAL, _dot, _log10, _sqrt, _xgcd
 from latforge.lll import DEFAULT_PARAMS
 
 
@@ -102,6 +107,32 @@ def reference_metrics(b: Basis) -> BasisMetrics:
     """``metrics`` of ``b`` with the reference determinant of ``b`` itself,
     to compare against metrics computed with a carried determinant."""
     return metrics(b, _gram_det_bareiss(b))
+
+
+def eager_metrics(b: Basis, gram: int | None = None) -> tuple[Decimal, ...]:
+    """(shortest, longest, log10_weight, det_lattice) of ``b``, all computed
+    at once as ``metrics`` did before its values became lazy: the reference
+    for what each ``BasisMetrics`` value computes on first read."""
+    normsqs = [b.row_normsq(i) for i in range(b.m)]
+    log10_weight = REAL.divide(
+        sum((_log10(nsq) for nsq in normsqs), Decimal(0)), Decimal(2)
+    )
+    return (
+        _sqrt(min(normsqs)),
+        _sqrt(max(normsqs)),
+        log10_weight,
+        _sqrt(_gram_det_bareiss(b) if gram is None else gram),
+    )
+
+
+def counting(calls: Counter, name: str, fn):
+    """``fn`` wrapped to count its calls in ``calls[name]``, for monkeypatch."""
+
+    def wrapped(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapped
 
 
 def _is_lll_reduced_fraction(b: Basis, params: LllParams = DEFAULT_PARAMS) -> bool:

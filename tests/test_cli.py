@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latforge import Basis, uniform_basis
+from latforge import Basis, hillclimb, uniform_basis
 from latforge.cli import cli_main
 from latforge.latfile import save_lattice
 
@@ -89,6 +89,20 @@ class TestHc:
         steps = json.loads(report.read_text())["steps"]
         moved = [sum(img != i for i, img in enumerate(s["permutation"], 1)) for s in steps]
         assert moved == radii
+
+    def test_r0_zero_schedule_checked_up_front(self, rank8, tmp_path, capsys, monkeypatch):
+        reductions = []
+        monkeypatch.setattr(hillclimb, "lll_reduce", lambda *a: reductions.append(a))
+        argv = ["hc", "--r0", "0", "--k", "2", "--p", "3", "--target", "0", "--in", rank8]
+        assert cli_main(argv) == 1
+        assert "step 2" in capsys.readouterr().err
+        assert reductions == []
+        monkeypatch.undo()
+        report = tmp_path / "hc.json"
+        assert cli_main([*argv, "--rstep", "2", "--report", str(report)]) == 0
+        steps = json.loads(report.read_text())["steps"]
+        moved = [sum(img != i for i, img in enumerate(s["permutation"], 1)) for s in steps]
+        assert moved == [0, 2, 4]
 
     def test_report_byte_identical(self, rank8, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -18,12 +19,15 @@ from latforge import (
     svp_oracle,
     uniform_basis,
 )
+from latforge import core
 from latforge.parallel import derive_rng
 
 from helpers import (
     _enumerate_box_python,
     _gram_det_bareiss,
     _hnf_echelon,
+    counting,
+    eager_metrics,
     lattice_contains,
     same_lattice_oracle,
 )
@@ -119,6 +123,51 @@ class TestMetrics:
         rows[2] = [x - 7 * y for x, y in zip(rows[2], rows[0])]
         rows[0], rows[4] = rows[4], rows[0]
         assert metrics(Basis.from_rows(rows)).det_lattice == metrics(b).det_lattice
+
+
+REPORTED = ("shortest", "longest", "log10_weight", "det_lattice")
+METRIC_CORPUS = [
+    *(uniform_basis(6, -999, 999, seed=s) for s in range(3)),
+    *(knapsack_basis(8, bits=60, seed=s) for s in range(3)),
+]
+
+
+class TestLazyMetrics:
+    @pytest.mark.parametrize("carried", [False, True], ids=["computed", "carried"])
+    def test_values_match_eager_reference(self, carried):
+        for b in METRIC_CORPUS:
+            gram = _gram_det_bareiss(b) if carried else None
+            expected = eager_metrics(b, gram)
+            # Each value read first on a fresh object of its own, then all
+            # four on one object, last first.
+            assert [getattr(metrics(b, gram), name) for name in REPORTED] == list(expected)
+            m = metrics(b, gram)
+            assert tuple(getattr(m, name) for name in reversed(REPORTED)) == expected[::-1]
+
+    def test_values_are_computed_once_on_first_read(self, monkeypatch):
+        b = knapsack_basis(8, bits=60, seed=1)
+        calls = Counter()
+        monkeypatch.setattr(core, "_log10", counting(calls, "_log10", core._log10))
+        monkeypatch.setattr(core, "gram_det", counting(calls, "gram_det", core.gram_det))
+        m = metrics(b)
+        assert calls == {}
+        first = [getattr(m, name) for name in REPORTED]
+        assert calls == {"_log10": b.m, "gram_det": 1}
+        assert [getattr(m, name) for name in REPORTED] == first
+        assert calls == {"_log10": b.m, "gram_det": 1}
+
+    def test_equality_compares_reported_values(self):
+        b = uniform_basis(5, -99, 99, seed=3)
+        gram = gram_det(b)
+        assert metrics(b) == metrics(b, gram)
+        assert metrics(b, gram) == metrics(b)
+        assert hash(metrics(b)) == hash(metrics(b, gram))
+        rows = [list(r) for r in b.rows]
+        rows[2] = [x - 7 * y for x, y in zip(rows[2], rows[0])]
+        other = Basis.from_rows(rows)  # same lattice and determinant, other norms
+        assert metrics(other, gram) != metrics(b)
+        assert metrics(other) != metrics(b, gram)
+        assert metrics(b, 4 * gram) != metrics(b)
 
 
 class TestGramDet:

@@ -14,6 +14,7 @@ from latforge import (
     StageSpec,
     diffuse,
     fuse,
+    gram_det,
     hnf,
     knapsack_basis,
     ldsf_run,
@@ -22,11 +23,12 @@ from latforge import (
     run_pipeline,
     uniform_basis,
 )
+from latforge import core
 from latforge import ldsf as ldsf_mod
 from latforge.ldsf import block_sizes, sigma_candidates
 from latforge.parallel import derive_rng, derive_seed
 
-from helpers import reference_metrics
+from helpers import counting, reference_metrics
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -208,3 +210,26 @@ class TestCarriedDeterminant:
         candidates = sigma_candidates(2, 3, b, base, derive_rng("carried"))
         for _, trace in candidates:
             assert_reference_metrics(trace, 2)
+
+
+class TestLazyMetrics:
+    def test_block_determinant_waits_for_a_read(self, monkeypatch):
+        b = knapsack_basis(9, bits=40, seed=16)
+        gram = gram_det(b)
+        calls = Counter()
+        counted = counting(calls, "gram_det", gram_det)
+        monkeypatch.setattr(core, "gram_det", counted)
+        monkeypatch.setattr(ldsf_mod, "gram_det", counted)
+        trace = ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=4), gram)
+        rounds = trace.rounds
+        assert sum(len(r.block_metrics) for r in rounds) > 1
+        for r in rounds:
+            r.fused_metrics.det_lattice  # carried: computes nothing
+            for bm in r.block_metrics:
+                bm.shortest, bm.longest, bm.log10_weight
+        assert calls == {}
+        block = rounds[-1].block_metrics[0]
+        det = block.det_lattice
+        assert calls == {"gram_det": 1}
+        assert block.det_lattice == det
+        assert calls == {"gram_det": 1}

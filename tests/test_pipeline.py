@@ -12,7 +12,6 @@ from latforge import (
     is_lll_reduced,
     knapsack_basis,
     lll_reduce,
-    metrics,
     run_pipeline,
     svp_oracle,
     uniform_basis,
