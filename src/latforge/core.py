@@ -70,19 +70,6 @@ class Basis:
         return cls(tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
 
 
-@dataclass(frozen=True)
-class GsoData:
-    """Gram-Schmidt orthogonalization with exact rational entries.
-
-    ``ortho[i]`` is b*_i, ``mu[i][j]`` (j < i) the projection coefficient of
-    row i onto b*_j, and ``normsq[i]`` = ||b*_i||^2.
-    """
-
-    ortho: tuple[tuple[Fraction, ...], ...]
-    mu: tuple[tuple[Fraction, ...], ...]
-    normsq: tuple[Fraction, ...]
-
-
 class BasisMetrics:
     """Reported lengths of a basis: shortest row, longest row, log10 of the
     product of row norms, and the lattice determinant sqrt(det(B.B^T)).
@@ -142,36 +129,8 @@ def _dot(u: Sequence, v: Sequence):
     return sum(a * b for a, b in zip(u, v))
 
 
-def gso(b: Basis) -> GsoData:
-    """Exact rational Gram-Schmidt of the rows of ``b``.
-
-    Raises DependentRowsError as soon as some b*_i collapses to zero.
-    """
-    ortho: list[tuple[Fraction, ...]] = []
-    mu: list[tuple[Fraction, ...]] = []
-    normsq: list[Fraction] = []
-    for i, row in enumerate(b.rows):
-        vec = [Fraction(x) for x in row]
-        coeffs = []
-        for j in range(i):
-            c = _dot(row, ortho[j]) / normsq[j]
-            coeffs.append(c)
-            vec = [v - c * o for v, o in zip(vec, ortho[j])]
-        nsq = _dot(vec, vec)
-        if nsq == 0:
-            raise DependentRowsError(f"row {i} depends on rows above it")
-        ortho.append(tuple(vec))
-        mu.append(tuple(coeffs))
-        normsq.append(nsq)
-    return GsoData(tuple(ortho), tuple(mu), tuple(normsq))
-
-
-def _sqrt(value: int | Fraction) -> Decimal:
-    if isinstance(value, Fraction):
-        d = REAL.divide(Decimal(value.numerator), Decimal(value.denominator))
-    else:
-        d = Decimal(value)
-    return REAL.sqrt(d)
+def _sqrt(value: int) -> Decimal:
+    return REAL.sqrt(Decimal(value))
 
 
 def _log10(value: int) -> Decimal:
@@ -369,12 +328,14 @@ def svp_oracle(
     is the size of the box less the zero vector, not the number of nodes
     the pruned search visits.
 
-    Schnorr-Euchner depth-first search on the exact GSO: coefficients are
-    fixed from the last row down, each level in order of distance from its
-    projected center, so the partial squared norm only grows along a
-    branch.  A branch is cut once it exceeds the best norm found so far,
-    starting from the shortest row (its unit coefficient vector is in the
-    box).  Ties survive the cut, so every minimum in the box is reached.
+    Schnorr-Euchner depth-first search on the exact GSO, read from the
+    integral kernel as mu_ji = lam[j][i] / d[i+1] and ||b*_i||^2 =
+    d[i+1] / d[i]: coefficients are fixed from the last row down, each
+    level in order of distance from its projected center, so the partial
+    squared norm only grows along a branch.  A branch is cut once it
+    exceeds the best norm found so far, starting from the shortest row
+    (its unit coefficient vector is in the box).  Ties survive the cut, so
+    every minimum in the box is reached.
     """
     if coeff_bound < 1 or budget < 1:
         raise ValueError(f"coeff_bound and budget must be >= 1, got {coeff_bound}, {budget}")
@@ -383,8 +344,10 @@ def svp_oracle(
         raise BoxTooLargeError(
             f"box of {box} coefficient vectors exceeds budget {budget}"
         )
-    g = gso(b)
+    d, lam = _integral_gso(b)
     m = b.m
+    mu = [[Fraction(lam[j][i], d[i + 1]) for i in range(j)] for j in range(m)]
+    normsq = [Fraction(d[i + 1], d[i]) for i in range(m)]
     x = [0] * m
     best_sq, first = min((b.row_normsq(i), i) for i in range(m))
     best = tuple(int(j == first) for j in range(m))
@@ -392,9 +355,9 @@ def svp_oracle(
 
     def search(i: int, partial: Fraction) -> None:
         nonlocal best_sq, best
-        center = -sum(x[j] * g.mu[j][i] for j in range(i + 1, m))
+        center = -sum(x[j] * mu[j][i] for j in range(i + 1, m))
         for xi in sorted(box_range, key=lambda v: abs(v - center)):
-            sq = partial + (xi - center) ** 2 * g.normsq[i]
+            sq = partial + (xi - center) ** 2 * normsq[i]
             if sq > best_sq:
                 return
             x[i] = xi

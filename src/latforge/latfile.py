@@ -19,7 +19,6 @@ from .errors import ParseError, RankDeficientError
 class LatticeFile:
     basis: Basis
     source: str
-    diagnostics: tuple[str, ...]
 
 
 class _Scanner:
@@ -122,15 +121,7 @@ def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
     basis = Basis.from_rows(rows)
     if not is_independent(basis):
         raise RankDeficientError("rows are linearly dependent")
-    digits = len(int_str(max(abs(x) for row in rows for x in row)))
-    return LatticeFile(
-        basis=basis,
-        source=source,
-        diagnostics=(
-            f"{basis.m} rows of dimension {basis.n}",
-            f"largest entry has {digits} digit(s)",
-        ),
-    )
+    return LatticeFile(basis=basis, source=source)
 
 
 def format_lattice(b: Basis) -> str:

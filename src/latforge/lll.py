@@ -10,6 +10,7 @@ is a cross-multiplied integer comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .core import Basis, _gso_row, _integral_gso
@@ -27,14 +28,26 @@ class LllParams:
     alpha: Fraction
 
     def __post_init__(self):
-        if isinstance(self.alpha, float):
+        given = self.alpha
+        if isinstance(given, float):
             raise TypeError("pass alpha as a Fraction, string, or integer ratio")
+        shown = repr(given) if isinstance(given, str) else str(given)
+        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        out_of_range = ValueError(f"alpha must lie in (1/4, 1), got {shown}")
+        # A decimal text is range-checked before any Fraction is built: the
+        # Fraction of "1e999999999" has a billion-digit numerator.
         try:
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
+            value = Decimal(given) if isinstance(given, str) else None
+        except ArithmeticError:
+            value = None
+        if value is not None and value.is_finite() and not Decimal("0.25") < value < 1:
+            raise out_of_range
+        try:
+            object.__setattr__(self, "alpha", Fraction(given))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"alpha is not an exact rational: {self.alpha!r}") from exc
+            raise ValueError(f"alpha is not an exact rational: {shown}") from exc
         if not Fraction(1, 4) < self.alpha < 1:
-            raise ValueError(f"alpha must lie in (1/4, 1), got {self.alpha}")
+            raise out_of_range
 
 
 DEFAULT_PARAMS = LllParams(Fraction(3, 4))

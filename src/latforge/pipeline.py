@@ -22,6 +22,14 @@ KIND_LDSF = "ldsf"
 KIND_SIGMA = "sigma"
 KIND_LLL = "lll"
 
+# The stage-file keys each kind reads; any other key is an error.
+_LDSF_KEYS = {"kind", "alpha", "target", "blocks", "inner", "outer"}
+_STAGE_KEYS = {
+    KIND_LDSF: _LDSF_KEYS,
+    KIND_SIGMA: _LDSF_KEYS | {"sample"},
+    KIND_LLL: {"kind", "alpha"},
+}
+
 
 @dataclass(frozen=True)
 class StageSpec:
@@ -171,30 +179,22 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
     )
 
 
-def stage_to_dict(stage: StageSpec) -> dict:
-    out: dict = {"kind": stage.kind, "alpha": str(stage.alpha.alpha)}
-    if stage.kind != KIND_LLL:
-        out["blocks"] = stage.blocks
-        out["inner"] = stage.inner_iters
-        out["outer"] = stage.outer_iters
-    if stage.kind == KIND_SIGMA:
-        out["sample"] = stage.sample_n
-    if stage.target_bound is not None:
-        out["target"] = str(stage.target_bound)
-    return out
-
-
 def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
     """One stage-file entry; a malformed entry raises BadStageParamsError."""
     if not isinstance(data, dict):
         raise BadStageParamsError(f"entry must be a JSON object, got {data!r}")
+    kind, target = data.get("kind"), data.get("target")
+    if not isinstance(kind, str):
+        raise BadStageParamsError("stage entry needs a 'kind' string")
+    unused = sorted(set(data) - _STAGE_KEYS.get(kind, set(data)))
+    if unused:
+        raise BadStageParamsError(
+            f"{kind} stage does not use {', '.join(map(repr, unused))}"
+        )
     ints = {key: data.get(key, 1) for key in ("blocks", "sample", "inner", "outer")}
     for key, value in ints.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise BadStageParamsError(f"'{key}' must be an integer, got {value!r}")
-    kind, target = data.get("kind"), data.get("target")
-    if not isinstance(kind, str):
-        raise BadStageParamsError("stage entry needs a 'kind' string")
     try:
         alpha = LllParams(data["alpha"]) if "alpha" in data else default_alpha
     except (TypeError, ValueError) as exc:

@@ -9,11 +9,16 @@ can be validated through a second route.
 ``hnf`` (modulo-determinant HNF) and ``svp_oracle`` (pruned Schnorr-Euchner
 search), and serve as their references.
 
-``_gram_det_bareiss`` (Bareiss elimination of the Gram matrix) and
-``_is_lll_reduced_fraction`` (the LLL conditions on the rational ``gso``)
-share nothing with the integral Gram-Schmidt kernel behind ``gram_det``,
-``is_lll_reduced`` and ``lll_reduce``, so a fault in that kernel cannot
-pass its own check.
+``gso`` is the rational Gram-Schmidt orthogonalization (b*_i, mu_ij and
+||b*_i||^2 as Fractions, each row projected on the b*_j above it).  It and
+``_gram_det_bareiss`` (Bareiss elimination of the Gram matrix) share
+nothing with the integral Gram-Schmidt kernel behind ``gram_det``,
+``is_lll_reduced``, ``lll_reduce`` and ``svp_oracle``.
+``_is_lll_reduced_fraction`` checks the LLL conditions on ``gso``, so a
+fault in that kernel cannot pass its own check.
+
+The oracles import no private primitive of the library: ``_dot``,
+``_xgcd`` and the 50-digit ``_sqrt``/``_log10`` are written out here.
 
 ``eager_metrics`` computes the four metric values all at once, with the
 reference determinant, as the reference for the lazy ``BasisMetrics``.
@@ -21,14 +26,80 @@ reference determinant, as the reference for the lazy ``BasisMetrics``.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from latforge import Basis, BasisMetrics, DependentRowsError, LllParams, gso, metrics
-from latforge.core import REAL, _dot, _log10, _sqrt, _xgcd
+from latforge import Basis, BasisMetrics, DependentRowsError, LllParams, metrics
 from latforge.lll import DEFAULT_PARAMS
+
+# 50 significant digits, the precision the library promises for its reals.
+_REAL = decimal.Context(prec=50)
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _sqrt(value: int) -> Decimal:
+    return _REAL.sqrt(Decimal(value))
+
+
+def _log10(value: int) -> Decimal:
+    return _REAL.log10(Decimal(value))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(x, y, g) with x*a + y*b == g == gcd(a, b) >= 0: the Euclidean
+    algorithm tracks x alone, and y is solved from it at the end."""
+    g, next_g, x, next_x = a, b, 1, 0
+    while next_g:
+        q = g // next_g
+        g, next_g = next_g, g - q * next_g
+        x, next_x = next_x, x - q * next_x
+    if g < 0:
+        g, x = -g, -x
+    return x, (g - x * a) // b if b else 0, g
+
+
+@dataclass(frozen=True)
+class GsoData:
+    """Gram-Schmidt orthogonalization with exact rational entries.
+
+    ``ortho[i]`` is b*_i, ``mu[i][j]`` (j < i) the projection coefficient of
+    row i onto b*_j, and ``normsq[i]`` = ||b*_i||^2.
+    """
+
+    ortho: tuple[tuple[Fraction, ...], ...]
+    mu: tuple[tuple[Fraction, ...], ...]
+    normsq: tuple[Fraction, ...]
+
+
+def gso(b: Basis) -> GsoData:
+    """Exact rational Gram-Schmidt of the rows of ``b``.
+
+    Raises DependentRowsError as soon as some b*_i collapses to zero.
+    """
+    ortho: list[tuple[Fraction, ...]] = []
+    mu: list[tuple[Fraction, ...]] = []
+    normsq: list[Fraction] = []
+    for i, row in enumerate(b.rows):
+        vec = [Fraction(x) for x in row]
+        coeffs = []
+        for j in range(i):
+            c = _dot(row, ortho[j]) / normsq[j]
+            coeffs.append(c)
+            vec = [v - c * o for v, o in zip(vec, ortho[j])]
+        nsq = _dot(vec, vec)
+        if nsq == 0:
+            raise DependentRowsError(f"row {i} depends on rows above it")
+        ortho.append(tuple(vec))
+        mu.append(tuple(coeffs))
+        normsq.append(nsq)
+    return GsoData(tuple(ortho), tuple(mu), tuple(normsq))
 
 
 def solve_coefficients(b: Basis, v: tuple[int, ...]) -> list[Fraction] | None:
@@ -114,7 +185,7 @@ def eager_metrics(b: Basis, gram: int | None = None) -> tuple[Decimal, ...]:
     at once as ``metrics`` did before its values became lazy: the reference
     for what each ``BasisMetrics`` value computes on first read."""
     normsqs = [b.row_normsq(i) for i in range(b.m)]
-    log10_weight = REAL.divide(
+    log10_weight = _REAL.divide(
         sum((_log10(nsq) for nsq in normsqs), Decimal(0)), Decimal(2)
     )
     return (

@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latforge
 from latforge import Basis, hillclimb, uniform_basis
 from latforge.cli import cli_main
 from latforge.latfile import save_lattice
@@ -174,11 +178,20 @@ class TestHybrid:
             ({"kind": "ldsf", "target": "x"}, "stage 2: 'target' is not a decimal"),
             ({"kind": "ldsf", "target": "NaN"}, "stage 2: target must be finite"),
             ({"kind": "ldsf", "blocks": 5}, "stage 2: ldsf with 5 blocks needs rank >= 10, got 8"),
+            ({"kind": "ldsf", "blcoks": 3}, "stage 2: ldsf stage does not use 'blcoks'"),
+            ({"kind": "ldsf", "sample": 2}, "stage 2: ldsf stage does not use 'sample'"),
+            ({"kind": "sigma", "samples": 2}, "stage 2: sigma stage does not use 'samples'"),
+            (
+                {"kind": "lll", "blocks": 9, "sample": 0, "target": "0.5"},
+                "stage 2: lll stage does not use 'blocks', 'sample', 'target'",
+            ),
+            ({"kind": "lll", "inner": 2}, "stage 2: lll stage does not use 'inner'"),
         ],
         ids=[
             "not-object", "float-alpha", "alpha-1/0", "float-blocks", "string-sample",
             "float-inner", "bool-outer", "zero-outer", "bad-target", "nan-target",
-            "blocks-over-rank",
+            "blocks-over-rank", "ldsf-typo-key", "ldsf-sample", "sigma-typo-key",
+            "lll-ldsf-keys", "lll-inner",
         ],
     )
     def test_bad_stage_entry_is_usage_error(self, rank8, tmp_path, capsys, entry, message):
@@ -188,6 +201,31 @@ class TestHybrid:
         err = capsys.readouterr().err
         assert message in err
         assert "internal error" not in err
+
+
+class TestAlphaText:
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("1e999999999", "alpha must lie in (1/4, 1), got '1e999999999'"),
+            ("-1e999999999", "alpha must lie in (1/4, 1), got '-1e999999999'"),
+            ("1e-1000000", "alpha must lie in (1/4, 1), got '1e-1000000'"),
+            ("0." + "9" * 5000, "alpha is not an exact rational: '0.9999"),
+        ],
+        ids=["huge", "huge-negative", "tiny", "5000-digits"],
+    )
+    def test_extreme_decimal_exits_1_quickly(self, id4, alpha, message):
+        # A Fraction of 1e999999999 never finishes building, so the CLI runs
+        # in its own process under a timeout.
+        env = {**os.environ, "PYTHONPATH": str(Path(latforge.__file__).parents[1])}
+        argv = ["lll", "--in", id4, f"--alpha={alpha}"]
+        done = subprocess.run(
+            [sys.executable, "-m", "latforge.cli", *argv],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert done.returncode == 1
+        assert message in done.stderr
+        assert len(done.stderr) < 200  # the input text is quoted truncated
 
 
 class TestSweepAndFreq:

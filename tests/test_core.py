@@ -10,7 +10,6 @@ from latforge import (
     BoxTooLargeError,
     DependentRowsError,
     gram_det,
-    gso,
     hnf,
     knapsack_basis,
     lll_reduce,
@@ -28,6 +27,7 @@ from helpers import (
     _hnf_echelon,
     counting,
     eager_metrics,
+    gso,
     lattice_contains,
     same_lattice_oracle,
 )
@@ -314,6 +314,10 @@ class TestSvpOracle:
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="budget must be >= 1, got 1, "):
             svp_oracle(Basis.identity(2), 1, budget=budget)
+
+    def test_dependent_rows(self):
+        with pytest.raises(DependentRowsError, match="^row 1 depends on rows above it$"):
+            svp_oracle(Basis(((1, 1), (2, 2))), 2)
 
     def test_result_in_lattice(self):
         b = uniform_basis(4, -9, 9, seed=2)

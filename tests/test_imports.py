@@ -1,9 +1,12 @@
-"""Every module under src/ and tests/ reads each name it imports.
+"""Every module under src/ and tests/ reads each name it imports, and the
+test oracles import no private name of the library.
 
-No linter ships with the project, so the check walks the syntax tree: a
+No linter ships with the project, so the checks walk the syntax tree: a
 name bound by an import must be read somewhere in the module.  Names a
 module lists in ``__all__`` (the package re-exports) count as read, and
-``from __future__ import ...`` binds nothing.
+``from __future__ import ...`` binds nothing.  ``tests/helpers.py`` holds
+the independent oracles, so it may not import a ``_``-prefixed name from
+a latforge module: an oracle that borrows a primitive shares its faults.
 """
 
 import ast
@@ -54,3 +57,61 @@ def test_no_unused_imports(path):
 )
 def test_check_finds_unused_names(source, unused):
     assert unused_imports(source) == unused
+
+
+def private_latforge_imports(source: str) -> list[str]:
+    """``_``-prefixed names taken from latforge modules, by line: imported,
+    or read as an attribute of a name imported from latforge."""
+    tree = ast.parse(source)
+    bound: set[str] = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module, names = node.module or "", [a.name for a in node.names]
+            bound_names = [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            module, names = "", [a.name for a in node.names]
+            bound_names = [a.asname or a.name.partition(".")[0] for a in node.names]
+        else:
+            continue
+        for name, as_name in zip(names, bound_names):
+            path = f"{module}.{name}" if module else name
+            if path.partition(".")[0] != "latforge":
+                continue
+            bound.add(as_name)
+            if any(part.startswith("_") for part in path.split(".")):
+                found.append(f"line {node.lineno}: {path}")
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_oracles_import_no_private_name():
+    source = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    assert private_latforge_imports(source) == []
+
+
+@pytest.mark.parametrize(
+    "source,found",
+    [
+        ("from latforge.core import REAL, _dot\n", ["line 1: latforge.core._dot"]),
+        (
+            "from latforge import Basis\nfrom latforge.lll import _gso_row as g\n",
+            ["line 2: latforge.lll._gso_row"],
+        ),
+        ("import latforge._private\n", ["line 1: latforge._private"]),
+        ("from latforge import core\ncore._sqrt(4)\n", ["line 2: core._sqrt"]),
+        ("import latforge.core as c\nc._xgcd(1, 2)\n", ["line 2: c._xgcd"]),
+        ("import latforge.core\nlatforge.core._dot\n", ["line 2: latforge.core._dot"]),
+        ("from fractions import _gcd\nfrom latforge.lll import DEFAULT_PARAMS\n", []),
+        ("from latforge import core\ncore.hnf\n", []),
+        ("from . import _local\n", []),
+    ],
+)
+def test_check_finds_private_imports(source, found):
+    assert private_latforge_imports(source) == found

@@ -6,7 +6,6 @@ from latforge import (
     Basis,
     DependentRowsError,
     LllParams,
-    gso,
     is_lll_reduced,
     knapsack_basis,
     lll_reduce,
@@ -15,7 +14,7 @@ from latforge import (
     uniform_basis,
 )
 
-from helpers import _is_lll_reduced_fraction, same_lattice_oracle
+from helpers import _is_lll_reduced_fraction, gso, same_lattice_oracle
 
 ALPHAS = [LllParams(Fraction(3, 4)), LllParams("9/10"), LllParams("9999/10000")]
 
@@ -34,6 +33,21 @@ class TestParams:
             LllParams(Fraction(1, 4))
         with pytest.raises(ValueError):
             LllParams(1)
+
+    @pytest.mark.parametrize("text", ["0.25", "25e-2", "1.0", "1e1", "-0.5", "1e-1000000"])
+    def test_decimal_text_range_is_exact(self, text):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1/4, 1\), got '"):
+            LllParams(text)
+
+    def test_decimal_text_inside_range(self):
+        just_above = LllParams("0.2500000000000000000001")
+        assert just_above.alpha == Fraction(1, 4) + Fraction(1, 10**22)
+        assert LllParams("9999e-4").alpha == Fraction(9999, 10000)
+
+    def test_error_quotes_truncated_text(self):
+        with pytest.raises(ValueError) as err:
+            LllParams("1/" + "7" * 100)
+        assert str(err.value) == f"alpha must lie in (1/4, 1), got '1/{'7' * 34}..."
 
 
 class TestReduce:
