@@ -10,7 +10,10 @@ from typing import Iterable, Sequence
 from .core import REAL, Basis, _sqrt
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
-from .perm import apply, sample_at_radius
+from .perm import apply, check_radius, sample_at_radius
+
+
+_REALS = ("min", "max", "mean", "std", "range")
 
 
 @dataclass(frozen=True)
@@ -22,26 +25,18 @@ class SweepRow:
     std: Decimal
     range: Decimal
 
+    def rendered(self) -> dict:
+        """Column -> value, as both the CSV and the JSON report show the row."""
+        return {"radius": self.radius, **{c: format_real(getattr(self, c)) for c in _REALS}}
+
 
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:
-        lines = ["radius,min,max,mean,std,range"]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row.radius),
-                        format_real(row.min),
-                        format_real(row.max),
-                        format_real(row.mean),
-                        format_real(row.std),
-                        format_real(row.range),
-                    ]
-                )
-            )
+        lines = [",".join(("radius", *_REALS))]
+        lines += (",".join(map(str, row.rendered().values())) for row in self.rows)
         return "\n".join(lines) + "\n"
 
 
@@ -74,6 +69,16 @@ def summarize(radius: int, values: Sequence[Decimal]) -> SweepRow:
     )
 
 
+def _checked(b: Basis, radii: Iterable[int], n_samples: int) -> list[int]:
+    """The radii as a list, each feasible for ``b``; checked before any reduction."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    radii = list(radii)
+    for r in radii:
+        check_radius(b.m, r)
+    return radii
+
+
 def _shortest_sq_after(b: Basis, r: int, alpha: LllParams, seed: int, i: int) -> int:
     pi = sample_at_radius(b.m, r, derive_rng(seed, "sweep", r, i))
     reduced = lll_reduce(apply(b, pi), alpha)
@@ -89,10 +94,8 @@ def radius_sweep(
 ) -> SweepResult:
     """For each radius, reduce ``n_samples`` permuted copies of ``b`` and
     collect the distribution of the resulting shortest-vector lengths."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     rows = []
-    for r in radii:
+    for r in _checked(b, radii, n_samples):
         lengths = [
             _sqrt(_shortest_sq_after(b, r, alpha, seed, i)) for i in range(n_samples)
         ]
@@ -113,11 +116,9 @@ def improvement_frequency(
     ``b_star`` is expected to be reduced already; the comparison is exact
     on squared norms.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     base_sq = min(b_star.row_normsq(j) for j in range(b_star.m))
     out = {}
-    for r in radii:
+    for r in _checked(b_star, radii, n_samples):
         wins = sum(
             _shortest_sq_after(b_star, r, alpha, seed, i) < base_sq
             for i in range(n_samples)

@@ -2,7 +2,9 @@
 
 Subcommands: lll, hc, ldsf, hybrid, sweep, freq, oracle.  Every command
 reads the bracketed lattice format via --in, honors --seed and --alpha,
-and can emit a structured JSON report (--report) and/or CSV (--out-csv).
+and can emit a structured JSON report (--report); sweep and freq also
+write their table as CSV (--out-csv, stdout otherwise).  --alpha becomes
+one LllParams in cli_main, which every handler reads.
 Exit codes: 0 success, 1 usage or input error, 2 computation error.
 """
 
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from . import serialize
 from .bench import improvement_frequency, radius_sweep
-from .core import Basis, metrics, svp_oracle
+from .core import DEFAULT_ENUM_BUDGET, Basis, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
 from .latfile import load_lattice
@@ -66,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
     common.add_argument("--in", dest="infile", required=True, help="lattice file")
-    common.add_argument("--out-csv", help="write tabular output to this CSV file")
     common.add_argument("--report", help="write a JSON report to this file")
 
     parser = _Parser(prog="latforge", description=__doc__)
@@ -94,18 +95,18 @@ def build_parser() -> argparse.ArgumentParser:
     hy = sub.add_parser("hybrid", parents=[common], help="multistage pipeline")
     hy.add_argument("--stages", required=True, help="JSON stage list file")
 
-    sw = sub.add_parser("sweep", parents=[common], help="shortest-length statistics per radius")
-    sw.add_argument("--radii", type=_radii, required=True, help="e.g. 5,10,15")
-    sw.add_argument("--samples", type=int, default=100, help="permutations per radius")
-
-    fr = sub.add_parser("freq", parents=[common], help="improvement frequency per radius")
-    fr.add_argument("--radii", type=_radii, required=True, help="e.g. 5,10,15")
-    fr.add_argument("--samples", type=int, default=100, help="permutations per radius")
+    for name, what in (
+        ("sweep", "shortest-length statistics"), ("freq", "improvement frequency")
+    ):
+        table = sub.add_parser(name, parents=[common], help=f"{what} per radius")
+        table.add_argument("--radii", type=_radii, required=True, help="e.g. 5,10,15")
+        table.add_argument("--samples", type=int, default=100, help="permutations per radius")
+        table.add_argument("--out-csv", help="write the table to this CSV file")
 
     orc = sub.add_parser("oracle", parents=[common], help="exhaustive shortest vector")
     orc.add_argument("--bound", type=int, default=2, help="coefficient box half-width")
     orc.add_argument(
-        "--budget", type=int, default=10_000_000, help="enumeration budget"
+        "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget"
     )
     return parser
 
@@ -121,15 +122,14 @@ def _write(path: str | None, content: str) -> None:
 def _emit_report(args, payload: dict) -> None:
     payload = dict(payload)
     payload["seed"] = args.seed
-    payload["alpha"] = str(LllParams(args.alpha).alpha)
+    payload["alpha"] = str(args.alpha.alpha)
     payload["input"] = args.infile
     if args.report:
         _write(args.report, serialize.to_json(payload))
 
 
 def _cmd_lll(args, basis: Basis) -> int:
-    params = LllParams(args.alpha)
-    reduced = lll_reduce(basis, params)
+    reduced = lll_reduce(basis, args.alpha)
     after = metrics(reduced)
     print(
         f"lll: shortest={after.shortest:.6g} longest={after.longest:.6g} "
@@ -163,7 +163,7 @@ def _cmd_hc(args, basis: Basis) -> int:
         kind=kind,
         sample_size=args.k,
         max_steps=args.p,
-        alpha=LllParams(args.alpha),
+        alpha=args.alpha,
         target_bound=args.target,
         seed=args.seed,
     )
@@ -181,7 +181,7 @@ def _cmd_ldsf(args, basis: Basis) -> int:
         servers=args.blocks,
         inner_iters=args.inner,
         outer_iters=args.outer,
-        alpha=LllParams(args.alpha),
+        alpha=args.alpha,
         target_bound=args.target,
         seed=args.seed,
     )
@@ -197,7 +197,7 @@ def _cmd_ldsf(args, basis: Basis) -> int:
 def _cmd_hybrid(args, basis: Basis) -> int:
     with open(args.stages, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    stages = stages_from_list(raw, LllParams(args.alpha))
+    stages = stages_from_list(raw, args.alpha)
     report = run_pipeline(basis, stages, seed=args.seed)
     last = report.stage_reports[-1]
     print(
@@ -209,9 +209,7 @@ def _cmd_hybrid(args, basis: Basis) -> int:
 
 
 def _cmd_sweep(args, basis: Basis) -> int:
-    result = radius_sweep(
-        basis, args.radii, args.samples, LllParams(args.alpha), seed=args.seed
-    )
+    result = radius_sweep(basis, args.radii, args.samples, args.alpha, seed=args.seed)
     _write(args.out_csv, result.to_csv())
     _emit_report(args, {"command": "sweep", **serialize.sweep_dict(result)})
     return 0
@@ -219,7 +217,7 @@ def _cmd_sweep(args, basis: Basis) -> int:
 
 def _cmd_freq(args, basis: Basis) -> int:
     freqs = improvement_frequency(
-        basis, args.radii, args.samples, LllParams(args.alpha), seed=args.seed
+        basis, args.radii, args.samples, args.alpha, seed=args.seed
     )
     lines = ["radius,frequency"]
     lines.extend(f"{r},{freqs[r]:g}" for r in args.radii)
@@ -263,6 +261,7 @@ def cli_main(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
+        args.alpha = LllParams(args.alpha)
         basis = load_lattice(args.infile).basis
         return _COMMANDS[args.command](args, basis)
     except COMPUTATION_ERRORS as exc:

@@ -342,7 +342,7 @@ def svp_oracle(
     box = (2 * coeff_bound + 1) ** b.m
     if box > budget:
         raise BoxTooLargeError(
-            f"box of {box} coefficient vectors exceeds budget {budget}"
+            f"box of {int_str(box)} coefficient vectors exceeds budget {budget}"
         )
     d, lam = _integral_gso(b)
     m = b.m

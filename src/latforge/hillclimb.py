@@ -114,10 +114,7 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
         r0, rstep = kind.radius, 0
     else:
         r0, rstep = kind.r0, kind.rstep
-    if r0 == 1 or r0 < 0 or r0 > m:
-        raise InfeasibleRadiusError(
-            f"no permutation of degree {m} moves exactly {r0} points"
-        )
+    perm.check_radius(m, r0)
     # Step i samples radius min(m, r0 + (i-1)*rstep), which never falls, so
     # from r0 = 0 only step 2 can land on the infeasible radius 1.
     if r0 == 0 and min(m, rstep) == 1 and cfg.max_steps > 1:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 
 from .core import Basis, BasisMetrics, gram_det, metrics, _sqrt
-from .errors import BadBlockingError, DegreeMismatchError
+from .errors import BadBlockingError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
 from .perm import Permutation, apply, sample_right
@@ -63,14 +63,15 @@ class LdsfTrace:
     seconds: float
 
 
-def block_sizes(m: int, k: int, beta: int) -> list[int]:
+def block_sizes(m: int, k: int) -> list[int]:
     """Sizes of k blocks covering m rows, each of size >= 2.
 
-    The first k-1 blocks get beta rows and the last absorbs the remainder;
+    The first k-1 blocks get beta = ceil(m/k) rows and the last the rest;
     when that leaves the last block short, fall back to an even split.
     """
     if k < 1:
         raise BadBlockingError("need at least one block")
+    beta = math.ceil(m / k)
     if beta < 2:
         raise BadBlockingError("block size must be >= 2")
     if k == 1:
@@ -86,13 +87,13 @@ def block_sizes(m: int, k: int, beta: int) -> list[int]:
     return [base + 1] * rem + [base] * (k - rem)
 
 
-def diffuse(b: Basis, k: int, beta: int, rng: random.Random) -> list[Basis]:
-    """Random disjoint partition of the rows into k blocks of about beta rows.
+def diffuse(b: Basis, k: int, rng: random.Random) -> list[Basis]:
+    """Random disjoint partition of the rows into k blocks of about m/k rows.
 
     Every row lands in exactly one block, so the union of the blocks spans
     the original lattice and each block is itself a basis.
     """
-    sizes = block_sizes(b.m, k, beta)
+    sizes = block_sizes(b.m, k)
     order = list(range(b.m))
     rng.shuffle(order)
     blocks = []
@@ -104,22 +105,18 @@ def diffuse(b: Basis, k: int, beta: int, rng: random.Random) -> list[Basis]:
 
 
 def fuse(blocks: list[Basis], p: Permutation) -> Basis:
-    """Concatenate blocks in order, then rearrange rows by p."""
-    rows = tuple(row for blk in blocks for row in blk.rows)
-    if p.degree != len(rows):
-        raise DegreeMismatchError(
-            f"permutation degree {p.degree} != fused row count {len(rows)}"
-        )
-    return apply(Basis(rows), p)
+    """Concatenate blocks in order, then rearrange rows by p; ``apply``
+    raises DegreeMismatchError when p's degree is not the row count."""
+    return apply(Basis(tuple(row for blk in blocks for row in blk.rows)), p)
 
 
 def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
     """Diffuse / reduce / fuse for M inner iterations per outer pass.
 
-    Each outer pass drops the block count by one (floored at 1) and rebinds
-    the block size to ceil(m / k).  Stops after an outer pass whose best
-    fused shortest vector meets ``target_bound``.  All randomness is derived
-    from (seed, outer, inner), so traces replay identically.
+    Each outer pass drops the block count k by one (floored at 1), so blocks
+    grow to ceil(m / k) rows.  Stops after an outer pass whose best fused
+    shortest vector meets ``target_bound``.  All randomness is derived from
+    (seed, outer, inner), so traces replay identically.
     Fused bases span the lattice of ``b``: ``gram`` as in ``metrics``.
     """
     started = time.perf_counter()
@@ -132,11 +129,8 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
     best_basis = b
     reached = False
     for outer in range(1, cfg.outer_iters + 1):
-        beta = math.ceil(m / k)
         for inner in range(1, cfg.inner_iters + 1):
-            blocks = diffuse(
-                current, k, beta, derive_rng(cfg.seed, "ldsf", outer, inner, "cut")
-            )
+            blocks = diffuse(current, k, derive_rng(cfg.seed, "ldsf", outer, inner, "cut"))
             reduced = [lll_reduce(blk, cfg.alpha) for blk in blocks]
             pi = sample_right(m, derive_rng(cfg.seed, "ldsf", outer, inner, "mix"))
             current = fuse(reduced, pi)
@@ -169,19 +163,18 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
 
 
 def sigma_candidates(
-    m_blocks: int, n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random,
-    gram: int | None = None,
+    n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random, gram: int | None = None
 ) -> list[tuple[Permutation, LdsfTrace]]:
-    """LDSF runs from n sampled right permutations of b, each with its
-    permutation; a sigma stage keeps the run whose final basis has the least
-    ``reduction_key``.  ``gram`` as in ``ldsf_run``."""
+    """LDSF runs of ``cfg`` from n sampled right permutations of b, each with
+    its permutation; a sigma stage keeps the run whose final basis has the
+    least ``reduction_key``.  ``gram`` as in ``ldsf_run``."""
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
     gram = gram_det(b) if gram is None else gram
     out = []
     for i in range(n_perms):
         pi = sample_right(b.m, rng)
-        run_cfg = replace(cfg, servers=m_blocks, seed=derive_seed(cfg.seed, "sigma", i))
+        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "sigma", i))
         out.append((pi, ldsf_run(apply(b, pi), run_cfg, gram)))
     return out
 

@@ -9,11 +9,12 @@ is a cross-multiplied integer comparison.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from .core import Basis, _gso_row, _integral_gso
+from .core import Basis, _gso_row, _integral_gso, int_str
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,7 @@ class LllParams:
         given = self.alpha
         if isinstance(given, float):
             raise TypeError("pass alpha as a Fraction, string, or integer ratio")
-        shown = repr(given) if isinstance(given, str) else str(given)
-        shown = shown if len(shown) <= 40 else shown[:37] + "..."
+        shown = _quoted(given)
         out_of_range = ValueError(f"alpha must lie in (1/4, 1), got {shown}")
         # A decimal text is range-checked before any Fraction is built: the
         # Fraction of "1e999999999" has a billion-digit numerator.
@@ -45,9 +45,26 @@ class LllParams:
         try:
             object.__setattr__(self, "alpha", Fraction(given))
         except (ValueError, ZeroDivisionError) as exc:
+            # Fraction parses each digit group with int(), which Python caps
+            # (since 3.10.7; an older interpreter has no cap and no getter).
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if isinstance(given, str) and 0 < limit < sum(map(str.isdigit, given)):
+                raise ValueError(f"alpha text is too long (over {limit} digits): {shown}") from exc
             raise ValueError(f"alpha is not an exact rational: {shown}") from exc
         if not Fraction(1, 4) < self.alpha < 1:
             raise out_of_range
+
+
+def _quoted(given: object) -> str:
+    """``given`` cut to 40 characters for an error message.  An int or
+    Fraction is rendered by ``int_str``: ``str`` fails past 4,300 digits."""
+    if isinstance(given, (int, Fraction)) and not isinstance(given, bool):
+        q = Fraction(given)
+        text = int_str(q.numerator)
+        text += f"/{int_str(q.denominator)}" if q.denominator > 1 else ""
+    else:
+        text = repr(given) if isinstance(given, str) else str(given)
+    return text if len(text) <= 40 else text[:37] + "..."
 
 
 DEFAULT_PARAMS = LllParams(Fraction(3, 4))

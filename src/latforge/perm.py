@@ -101,18 +101,22 @@ def count_at_radius(m: int, r: int) -> int:
     return math.comb(m, r) * derangement_count(r)
 
 
+def check_radius(m: int, r: int) -> None:
+    """InfeasibleRadiusError unless some permutation of degree m moves
+    exactly r points, that is unless r = 0 or 2 <= r <= m."""
+    if r == 1 or r < 0 or r > m:
+        raise InfeasibleRadiusError(f"no permutation of degree {m} moves exactly {r} points")
+
+
 def sample_at_radius(m: int, r: int, rng: random.Random) -> Permutation:
     """Uniform draw from the sphere of radius r around the identity.
 
     Picks an r-subset of positions uniformly, then a uniform derangement of
     it by rejection from random shuffles (expected < e retries).
     """
+    check_radius(m, r)
     if r == 0:
         return Permutation.identity(m)
-    if r == 1 or r < 0 or r > m:
-        raise InfeasibleRadiusError(
-            f"no permutation of degree {m} moves exactly {r} points"
-        )
     positions = sorted(rng.sample(range(m), r))
     shuffled = positions[:]
     while True:

@@ -9,7 +9,7 @@ best-of-n sampled run, or a terminating whole-basis reduction.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 
 from .core import Basis, BasisMetrics, gram_det, metrics, reduction_key
@@ -22,18 +22,23 @@ KIND_LDSF = "ldsf"
 KIND_SIGMA = "sigma"
 KIND_LLL = "lll"
 
-# The stage-file keys each kind reads; any other key is an error.
-_LDSF_KEYS = {"kind", "alpha", "target", "blocks", "inner", "outer"}
-_STAGE_KEYS = {
-    KIND_LDSF: _LDSF_KEYS,
-    KIND_SIGMA: _LDSF_KEYS | {"sample"},
-    KIND_LLL: {"kind", "alpha"},
+# The fields each kind reads, as stage-file key -> StageSpec field.  A
+# stage-file key outside its kind's row is an error, and so is a StageSpec
+# field outside it that does not hold its default.
+_LDSF_FIELDS = {
+    "kind": "kind", "alpha": "alpha", "target": "target_bound", "blocks": "blocks",
+    "inner": "inner_iters", "outer": "outer_iters",
+}
+_STAGE_FIELDS = {
+    KIND_LDSF: _LDSF_FIELDS,
+    KIND_SIGMA: {**_LDSF_FIELDS, "sample": "sample_n"},
+    KIND_LLL: {"kind": "kind", "alpha": "alpha"},
 }
 
 
 @dataclass(frozen=True)
 class StageSpec:
-    """One pipeline stage: kind, block count, sample size, and overrides."""
+    """One pipeline stage: a kind and the fields it reads (``_STAGE_FIELDS``)."""
 
     kind: str
     alpha: LllParams
@@ -44,13 +49,20 @@ class StageSpec:
     outer_iters: int = 1
 
     def __post_init__(self):
-        if self.kind not in (KIND_LDSF, KIND_SIGMA, KIND_LLL):
+        if self.kind not in _STAGE_FIELDS:
             raise BadStageParamsError(f"unknown stage kind {self.kind!r}")
-        if self.kind != KIND_LLL and self.blocks < 1:
+        read = _STAGE_FIELDS[self.kind].values()
+        unread = [
+            f.name for f in fields(self)
+            if f.name not in read and getattr(self, f.name) != f.default
+        ]
+        if unread:
+            raise BadStageParamsError(f"{self.kind} stage does not use {', '.join(unread)}")
+        if self.blocks < 1:
             raise BadStageParamsError("blocks must be >= 1")
-        if self.kind == KIND_SIGMA and self.sample_n < 1:
+        if self.sample_n < 1:
             raise BadStageParamsError("sample_n must be >= 1")
-        if self.kind != KIND_LLL and min(self.inner_iters, self.outer_iters) < 1:
+        if min(self.inner_iters, self.outer_iters) < 1:
             raise BadStageParamsError("inner and outer must be >= 1")
         if not Decimal(str(self.target_bound or 0)).is_finite():
             raise BadStageParamsError(f"target must be finite, got {self.target_bound}")
@@ -81,8 +93,6 @@ def default_four_stage(
 ) -> list[StageSpec]:
     """Diffuse into m blocks, two sampled passes (m then l < m blocks),
     then a terminating whole-basis reduction."""
-    if m_blocks < 1 or n_sample < 1 or l_blocks < 1:
-        raise BadStageParamsError("stage parameters must be >= 1")
     if l_blocks >= m_blocks:
         raise BadStageParamsError(
             f"third-stage block count {l_blocks} must be < {m_blocks}"
@@ -148,12 +158,8 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
             llb, lub = _trace_extrema([trace])
         else:
             candidates = sigma_candidates(
-                stage.blocks,
-                stage.sample_n,
-                current,
-                _ldsf_cfg(stage, stage_seed),
-                derive_rng(seed, "stage", index, "perms"),
-                gram,
+                stage.sample_n, current, _ldsf_cfg(stage, stage_seed),
+                derive_rng(seed, "stage", index, "perms"), gram,
             )
             _, best = min(candidates, key=lambda c: reduction_key(c[1].final_basis))
             current = best.final_basis
@@ -163,8 +169,8 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
             StageReport(
                 index=index,
                 kind=stage.kind,
-                blocks=stage.blocks if stage.kind != KIND_LLL else 1,
-                sample_n=stage.sample_n if stage.kind == KIND_SIGMA else 1,
+                blocks=stage.blocks,
+                sample_n=stage.sample_n,
                 before=before,
                 after=after,
                 llb=llb,
@@ -186,32 +192,25 @@ def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
     kind, target = data.get("kind"), data.get("target")
     if not isinstance(kind, str):
         raise BadStageParamsError("stage entry needs a 'kind' string")
-    unused = sorted(set(data) - _STAGE_KEYS.get(kind, set(data)))
+    if kind not in _STAGE_FIELDS:
+        raise BadStageParamsError(f"unknown stage kind {kind!r}")
+    unused = sorted(set(data) - set(_STAGE_FIELDS[kind]))
     if unused:
-        raise BadStageParamsError(
-            f"{kind} stage does not use {', '.join(map(repr, unused))}"
-        )
-    ints = {key: data.get(key, 1) for key in ("blocks", "sample", "inner", "outer")}
-    for key, value in ints.items():
+        raise BadStageParamsError(f"{kind} stage does not use {', '.join(map(repr, unused))}")
+    for key in ("blocks", "sample", "inner", "outer"):
+        value = data.get(key, 1)
         if isinstance(value, bool) or not isinstance(value, int):
             raise BadStageParamsError(f"'{key}' must be an integer, got {value!r}")
+    spec = {_STAGE_FIELDS[kind][key]: value for key, value in data.items()}
     try:
-        alpha = LllParams(data["alpha"]) if "alpha" in data else default_alpha
+        spec["alpha"] = LllParams(data["alpha"]) if "alpha" in data else default_alpha
     except (TypeError, ValueError) as exc:
         raise BadStageParamsError(f"'alpha': {exc}") from exc
     try:
-        target = Decimal(str(target)) if target is not None else None
+        spec["target_bound"] = Decimal(str(target)) if target is not None else None
     except ArithmeticError as exc:
         raise BadStageParamsError(f"'target' is not a decimal: {target!r}") from exc
-    return StageSpec(
-        kind=kind,
-        alpha=alpha,
-        blocks=ints["blocks"],
-        sample_n=ints["sample"],
-        target_bound=target,
-        inner_iters=ints["inner"],
-        outer_iters=ints["outer"],
-    )
+    return StageSpec(**spec)
 
 
 def stages_from_list(raw: object, default_alpha: LllParams) -> list[StageSpec]:

@@ -100,19 +100,7 @@ def svp_dict(result: SvpResult) -> dict:
 
 
 def sweep_dict(result: SweepResult) -> dict:
-    return {
-        "rows": [
-            {
-                "radius": row.radius,
-                "min": format_real(row.min),
-                "max": format_real(row.max),
-                "mean": format_real(row.mean),
-                "std": format_real(row.std),
-                "range": format_real(row.range),
-            }
-            for row in result.rows
-        ]
-    }
+    return {"rows": [row.rendered() for row in result.rows]}
 
 
 def to_json(payload: dict) -> str:

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import contextlib
 import io
 import json
@@ -5,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latforge
-from latforge import Basis, hillclimb, uniform_basis
+from latforge import Basis, bench, cli, hillclimb, lll_reduce, uniform_basis
 from latforge.cli import cli_main
 from latforge.latfile import save_lattice
 
@@ -210,7 +213,7 @@ class TestAlphaText:
             ("1e999999999", "alpha must lie in (1/4, 1), got '1e999999999'"),
             ("-1e999999999", "alpha must lie in (1/4, 1), got '-1e999999999'"),
             ("1e-1000000", "alpha must lie in (1/4, 1), got '1e-1000000'"),
-            ("0." + "9" * 5000, "alpha is not an exact rational: '0.9999"),
+            ("0." + "9" * 5000, "alpha text is too long (over 4300 digits): '0.9999"),
         ],
         ids=["huge", "huge-negative", "tiny", "5000-digits"],
     )
@@ -251,6 +254,17 @@ class TestSweepAndFreq:
         assert lines[0] == "radius,frequency"
         assert lines[1].startswith("6,")
 
+    @pytest.mark.parametrize("command", ["sweep", "freq"])
+    def test_radii_checked_before_any_reduction(self, rank8, capsys, monkeypatch, command):
+        reductions = []
+        monkeypatch.setattr(
+            bench, "lll_reduce", lambda *a: reductions.append(a) or lll_reduce(*a)
+        )
+        argv = [command, "--radii", "8,8,8,1", "--samples", "300", "--in", rank8]
+        assert cli_main(argv) == 1
+        assert "moves exactly 1 points" in capsys.readouterr().err
+        assert reductions == []
+
     def test_bad_radius_list(self, rank8):
         assert cli_main(["sweep", "--radii", "5,x", "--in", rank8]) == 1
 
@@ -280,6 +294,55 @@ class TestOracle:
         assert code == 2
         assert "computation failed" in capsys.readouterr().err
 
+    def test_box_of_more_than_4300_digits_is_computation_error(self, rank8, capsys):
+        # (2 * (10**600 - 1) + 1)**8 = 255999...9 has 4,803 digits: past str()'s cap.
+        assert cli_main(["oracle", "--bound", "9" * 600, "--in", rank8]) == 2
+        err = capsys.readouterr().err
+        assert "computation failed: box of 255999" in err
+        assert "coefficient vectors exceeds budget 10000000" in err
+
+
+class TestOptions:
+    @pytest.mark.parametrize(
+        "command",
+        [["lll"], ["hc", "--radius", "4"], ["ldsf", "--blocks", "2"],
+         ["hybrid", "--stages", "stages.json"], ["oracle"]],
+        ids=lambda c: c[0],
+    )
+    def test_out_csv_only_on_table_commands(self, rank8, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert cli_main([*command, "--in", rank8, "--out-csv", str(out)]) == 1
+        assert "unrecognized arguments: --out-csv" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_every_option_is_read(self):
+        # Each option of a command is read as args.<dest> by its handler,
+        # by cli_main or by _emit_report: none is accepted and ignored.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+        def args_read(name: str) -> set[str]:
+            return {
+                n.attr for n in ast.walk(functions[name])
+                if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                and isinstance(n.value, ast.Name) and n.value.id == "args"
+            }
+
+        shared = args_read("cli_main") | args_read("_emit_report")
+        (commands,) = [
+            a.choices for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert set(commands) == set(cli._COMMANDS)
+        unread = [
+            f"{name} --{action.dest}"
+            for name, handler in cli._COMMANDS.items()
+            for action in commands[name]._actions
+            if not isinstance(action, argparse._HelpAction)
+            and action.dest not in shared | args_read(handler.__name__)
+        ]
+        assert unread == []
+
 
 class TestErrors:
     def test_malformed_input_names_position(self, tmp_path, capsys):
@@ -307,6 +370,21 @@ _OPTION_TEXT = st.one_of(
          "", ",", "5,x", "2,3", "abc", "1.5", "99/100", "1/4"]
     ),
     st.text(alphabet="0123456789.,-+/eEnaifs x", max_size=8),
+)
+# --alpha texts that are long, or whose value is huge or tiny: every check
+# must cost what the length of the text costs, not what its value does.
+_SIGN = st.sampled_from(["", "-", "+"])
+_ALPHA_TEXT = st.one_of(
+    st.just("3/4"),
+    _OPTION_TEXT,
+    st.builds("{}1e{}{}".format, _SIGN, _SIGN, st.integers(0, 10**9 - 1)),
+    st.builds(
+        lambda prefix, head, digit, n: prefix + head + digit * n,
+        st.sampled_from(["", "0.", "-0.", "1/", "0.7", "3/4"]),
+        st.text(alphabet="0123456789", min_size=1, max_size=8),
+        st.sampled_from("0123456789"),
+        st.one_of(st.integers(0, 4990), st.integers(4280, 4990)),
+    ),
 )
 _ROWS = st.integers(1, 4).flatmap(
     lambda n: st.lists(
@@ -351,7 +429,7 @@ def _fuzz_argv(data, lat: str, stages: str) -> list[str]:
     command = data.draw(
         st.sampled_from(["lll", "hc", "ldsf", "hybrid", "sweep", "freq", "oracle"])
     )
-    alpha = data.draw(st.one_of(st.just("3/4"), _OPTION_TEXT))
+    alpha = data.draw(_ALPHA_TEXT)
     argv = [command, "--in", lat, "--alpha", alpha]
     if command == "hc":
         mode = data.draw(st.sampled_from(["--radius", "--r0", "--psl2"]))
@@ -371,7 +449,9 @@ def _fuzz_argv(data, lat: str, stages: str) -> list[str]:
 
 
 class TestBoundaryFuzz:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(
+        max_examples=300, deadline=timedelta(seconds=1), derandomize=True, database=None
+    )
     @given(data=st.data(), lat_text=_LAT_TEXT, stage_text=_STAGE_FILE)
     def test_exit_codes_and_no_internal_error(self, data, lat_text, stage_text):
         with tempfile.TemporaryDirectory() as tmp:

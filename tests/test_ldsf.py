@@ -46,33 +46,50 @@ def cfg(servers, inner=1, outer=1, seed=0, target=None):
 
 class TestBlocking:
     def test_exact_partition(self):
-        assert block_sizes(6, 3, 2) == [2, 2, 2]
+        assert block_sizes(6, 3) == [2, 2, 2]
 
     def test_last_absorbs_remainder(self):
-        assert block_sizes(7, 3, 2) == [2, 2, 3]
+        assert block_sizes(8, 3) == [3, 3, 2]
 
     def test_single_block(self):
-        assert block_sizes(6, 1, 6) == [6]
+        assert block_sizes(6, 1) == [6]
 
     def test_even_fallback_when_last_too_small(self):
-        assert block_sizes(7, 3, 3) == [3, 2, 2]
+        assert block_sizes(7, 3) == [3, 2, 2]
 
     def test_infeasible(self):
-        with pytest.raises(BadBlockingError):
-            block_sizes(5, 3, 2)
-        with pytest.raises(BadBlockingError):
-            block_sizes(6, 3, 1)
+        for m, k, message in [
+            (5, 3, "cannot cover 5 rows with 3 blocks of size >= 2"),
+            (3, 3, "block size must be >= 2"),
+            (1, 1, "block size must be >= 2"),
+            (6, 0, "need at least one block"),
+        ]:
+            with pytest.raises(BadBlockingError, match=message):
+                block_sizes(m, k)
+
+    def test_sizes_are_ceil_then_even_split(self):
+        # Written out: the first k-1 blocks of ceil(m/k) rows when the last
+        # keeps >= 2, else sizes differing by at most one, larger first.
+        for m in range(2, 40):
+            for k in range(1, m // 2 + 1):
+                beta = math.ceil(m / k)
+                last = m - (k - 1) * beta
+                if k == 1 or last >= 2:
+                    expect = [beta] * (k - 1) + [last]
+                else:
+                    expect = [m // k + (i < m % k) for i in range(k)]
+                assert block_sizes(m, k) == expect, (m, k)
 
     def test_diffuse_partitions_rows(self):
         b = uniform_basis(7, -9, 9, seed=1)
-        blocks = diffuse(b, 3, 2, derive_rng("cut"))
-        assert [blk.m for blk in blocks] == [2, 2, 3]
+        blocks = diffuse(b, 3, derive_rng("cut"))
+        assert [blk.m for blk in blocks] == [3, 2, 2]
         scattered = Counter(row for blk in blocks for row in blk.rows)
         assert scattered == Counter(b.rows)
 
     def test_diffuse_whole_basis(self):
         b = uniform_basis(6, -9, 9, seed=2)
-        (block,) = diffuse(b, 1, 6, derive_rng("one"))
+        (block,) = diffuse(b, 1, derive_rng("one"))
         assert Counter(block.rows) == Counter(b.rows)
 
 
@@ -83,7 +100,7 @@ class TestFuse:
 
     def test_partition_roundtrip_same_lattice(self):
         b = uniform_basis(6, -99, 99, seed=4)
-        blocks = diffuse(b, 2, 3, derive_rng("f"))
+        blocks = diffuse(b, 2, derive_rng("f"))
         fused = fuse(blocks, Permutation.identity(6))
         assert hnf(fused) == hnf(b)
 
@@ -174,7 +191,7 @@ class TestSigma:
         b = uniform_basis(9, -999, 999, seed=15)
         best = sigma_stage(b, 3, 5, inner=2, seed=6)
         base = cfg(servers=3, inner=2, seed=derive_seed(6, "stage", 1))
-        candidates = sigma_candidates(3, 5, b, base, derive_rng(6, "stage", 1, "perms"))
+        candidates = sigma_candidates(5, b, base, derive_rng(6, "stage", 1, "perms"))
         assert best in [t.final_basis for _, t in candidates]
         assert metrics(best).shortest == min(
             metrics(t.final_basis).shortest for _, t in candidates
@@ -193,7 +210,7 @@ def assert_reference_metrics(trace, servers):
             rows[image - 1] = row
         k = max(1, servers - rnd.outer + 1)
         blocks, at = [], 0
-        for size in block_sizes(fused.m, k, math.ceil(fused.m / k)):
+        for size in block_sizes(fused.m, k):
             blocks.append(Basis(tuple(rows[at : at + size])))
             at += size
         assert rnd.block_metrics == tuple(reference_metrics(blk) for blk in blocks)
@@ -207,7 +224,7 @@ class TestCarriedDeterminant:
     def test_sigma_candidates(self):
         b = knapsack_basis(8, bits=40, seed=17)
         base = cfg(servers=2, inner=2, outer=2, seed=8)
-        candidates = sigma_candidates(2, 3, b, base, derive_rng("carried"))
+        candidates = sigma_candidates(3, b, base, derive_rng("carried"))
         for _, trace in candidates:
             assert_reference_metrics(trace, 2)
 

@@ -44,6 +44,31 @@ class TestParams:
         assert just_above.alpha == Fraction(1, 4) + Fraction(1, 10**22)
         assert LllParams("9999e-4").alpha == Fraction(9999, 10000)
 
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(10**5000, "1000"), (-(10**5000), "-1000"), (Fraction(1, 10**5000), "1/1000")],
+        ids=["int", "negative", "fraction"],
+    )
+    def test_number_past_4300_digits_gets_range_message(self, value, shown):
+        # str() of an int of more than 4,300 digits raises ValueError.
+        with pytest.raises(ValueError) as err:
+            LllParams(value)
+        message = str(err.value)
+        assert message.startswith(f"alpha must lie in (1/4, 1), got {shown}")
+        assert message.endswith("...") and len(message) < 80
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0." + "9" * 5000, "3" + "0" * 4400 + "/4" + "0" * 4400, "1/" + "7" * 5000],
+        ids=["decimal", "ratio-in-range", "ratio"],
+    )
+    def test_text_past_4300_digits_is_too_long(self, text):
+        with pytest.raises(ValueError) as err:
+            LllParams(text)
+        message = str(err.value)
+        assert message.startswith(f"alpha text is too long (over 4300 digits): '{text[:4]}")
+        assert message.endswith("...") and len(message) < 90
+
     def test_error_quotes_truncated_text(self):
         with pytest.raises(ValueError) as err:
             LllParams("1/" + "7" * 100)

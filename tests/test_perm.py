@@ -24,6 +24,7 @@ from latforge import (
     uniform_basis,
 )
 from latforge.parallel import derive_rng
+from latforge.perm import check_radius
 
 perms8 = st.permutations(list(range(1, 9))).map(lambda xs: Permutation(tuple(xs)))
 
@@ -114,6 +115,15 @@ class TestSampleAtRadius:
     def test_radius_one_infeasible(self):
         with pytest.raises(InfeasibleRadiusError):
             sample_at_radius(4, 1, derive_rng(0))
+
+    def test_feasible_radii_are_the_nonempty_spheres(self):
+        for m in range(1, 7):
+            for r in range(-2, m + 3):
+                if count_at_radius(m, r):
+                    check_radius(m, r)
+                else:
+                    with pytest.raises(InfeasibleRadiusError, match=f"exactly {r} points"):
+                        check_radius(m, r)
 
     def test_exact_radius(self):
         rng = derive_rng("exact-radius")

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -44,15 +45,44 @@ class TestTemplates:
             StageSpec(kind=KIND_SIGMA, alpha=A34, blocks=2, sample_n=5),
         ]
         assert [s.blocks for s in stages] == [3, 6, 3, 2, 2]
-        assert [s.sample_n if s.kind == KIND_SIGMA else 1 for s in stages] == [
-            1, 10, 5, 5, 5,
-        ]
+        assert [s.sample_n for s in stages] == [1, 10, 5, 5, 5]
 
     def test_stage_validation(self):
         with pytest.raises(BadStageParamsError):
             StageSpec(kind="bogus", alpha=A34)
         with pytest.raises(BadStageParamsError):
             StageSpec(kind=KIND_SIGMA, alpha=A34, blocks=2, sample_n=0)
+
+    @pytest.mark.parametrize(
+        "kind, fields, message",
+        [
+            (KIND_LLL, {"blocks": 0}, "lll stage does not use blocks"),
+            (
+                KIND_LLL,
+                {"blocks": 0, "sample_n": -5, "inner_iters": 0, "target_bound": Decimal(2)},
+                "lll stage does not use blocks, sample_n, target_bound, inner_iters",
+            ),
+            (KIND_LLL, {"target_bound": Decimal("NaN")}, "lll stage does not use target_bound"),
+            (KIND_LLL, {"outer_iters": 2}, "lll stage does not use outer_iters"),
+            (KIND_LDSF, {"blocks": 2, "sample_n": 2}, "ldsf stage does not use sample_n"),
+            (KIND_LDSF, {"sample_n": 99}, "ldsf stage does not use sample_n"),
+        ],
+        ids=["lll-blocks", "lll-four", "lll-nan-target", "lll-outer", "ldsf-two", "ldsf-sample"],
+    )
+    def test_unread_field_must_hold_its_default(self, kind, fields, message):
+        with pytest.raises(BadStageParamsError, match=message):
+            StageSpec(kind=kind, alpha=A34, **fields)
+
+    def test_each_kind_reports_its_own_fields(self):
+        b = uniform_basis(8, -99, 99, seed=9)
+        stages = [
+            StageSpec(kind=KIND_LDSF, alpha=A34, blocks=3, inner_iters=2, outer_iters=2),
+            StageSpec(kind=KIND_SIGMA, alpha=A34, blocks=2, sample_n=3, target_bound=0),
+            StageSpec(kind=KIND_LLL, alpha=A34),
+        ]
+        report = run_pipeline(b, stages, seed=4)
+        got = [(s.blocks, s.sample_n) for s in report.stage_reports]
+        assert got == [(3, 1), (2, 3), (1, 1)]
 
 
 class TestRun:
