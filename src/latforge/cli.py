@@ -196,7 +196,8 @@ def _cmd_ldsf(args, basis: Basis) -> int:
 
 def _cmd_hybrid(args, basis: Basis) -> int:
     with open(args.stages, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        # Through Decimal: int() of a string is capped at 4,300 digits.
+        raw = json.load(fh, parse_int=lambda text: int(Decimal(text)))
     stages = stages_from_list(raw, args.alpha)
     report = run_pipeline(basis, stages, seed=args.seed)
     last = report.stage_reports[-1]

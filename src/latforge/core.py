@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import BoxTooLargeError, DependentRowsError
@@ -37,7 +38,7 @@ class Basis:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.rows)
+        rows = tuple(tuple(map(int, row)) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("basis needs at least one row")
@@ -56,7 +57,7 @@ class Basis:
         return len(self.rows[0])
 
     def row_normsq(self, i: int) -> int:
-        return sum(x * x for x in self.rows[i])
+        return sum(map(mul, self.rows[i], self.rows[i]))
 
     def max_abs_entry(self) -> int:
         return max(abs(x) for row in self.rows for x in row)
@@ -126,7 +127,7 @@ class SvpResult:
 
 
 def _dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def _sqrt(value: int) -> Decimal:
@@ -168,12 +169,14 @@ def _gso_row(rows: Sequence, d: list[int], lam: list[list[int]], k: int) -> None
     """Row k of the integral GSO (Cohen 1993, Alg. 2.6.7), rows 0..k-1 done:
     sets d[k+1] = det(Gram(rows[0..k])) and lam[k][j] = mu_kj * d[j+1] by
     exact divisions; DependentRowsError if row k depends on those above."""
+    rk, lk = rows[k], lam[k]
     for j in range(k + 1):
-        u = _dot(rows[k], rows[j])
+        lj = lam[j]
+        u = sum(map(mul, rk, rows[j]))
         for i in range(j):
-            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]
         if j < k:
-            lam[k][j] = u
+            lk[j] = u
         elif u == 0:
             raise DependentRowsError(f"row {k} depends on rows above it")
         else:

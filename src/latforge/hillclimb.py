@@ -148,7 +148,7 @@ def hill_climb(b0: Basis, cfg: HcConfig) -> HcTrace:
     best_key = reduction_key(current)
     # Every basis of the walk spans the lattice of b0: one determinant.
     gram = gram_det(current)
-    initial = metrics(current, gram)
+    initial = best_metrics = metrics(current, gram)
     bound = det_bound(b0, gram)
     target = bound if cfg.target_bound is None else Decimal(str(cfg.target_bound))
 
@@ -163,10 +163,10 @@ def hill_climb(b0: Basis, cfg: HcConfig) -> HcTrace:
         keyed = [reduction_key(c) for c in candidates]
         j = min(range(len(candidates)), key=keyed.__getitem__)
         current = candidates[j]
+        after = metrics(current, gram)
         improved = keyed[j] < best_key
         if improved:
-            best, best_key = current, keyed[j]
-        after = metrics(current, gram)
+            best, best_key, best_metrics = current, keyed[j], after
         steps.append(
             HcStep(
                 index=i,
@@ -181,7 +181,6 @@ def hill_climb(b0: Basis, cfg: HcConfig) -> HcTrace:
         reached = best_shortest <= target
         i += 1
 
-    best_metrics = metrics(best, gram)
     return HcTrace(
         steps=tuple(steps),
         best_basis=best,

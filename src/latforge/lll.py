@@ -5,6 +5,11 @@ d[i] = det(Gram(b_1..b_i)) and lam[i][j] = mu_ij * d[j+1], so every update
 is an exact integer division and no rationals are materialized in the hot
 loop.  The reduction parameter alpha is an exact Fraction; the Lovasz test
 is a cross-multiplied integer comparison.
+
+The recurrence and every rounding, swap and order are those of the plain
+loop form that the tests keep as the reference.  Only interpreter work is
+cut: a size-reduction test that changes nothing makes no call, and row and
+lam updates run through ``map`` in C, not a Python loop per entry.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from operator import add, sub
 
 from .core import Basis, _gso_row, _integral_gso, int_str
 
@@ -85,26 +91,19 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
     d = [1] * (m + 1)
     lam = [[0] * m for _ in range(m)]
 
-    def size_reduce(k: int, l: int) -> None:
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            # nearest integer to mu_kl = lam[k][l] / d[l+1]
-            r = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
-            rows[k] = [a - r * c for a, c in zip(rows[k], rows[l])]
-            lam[k][l] -= r * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= r * lam[l][i]
-
-    def swap(k: int, kmax: int) -> None:
-        rows[k], rows[k - 1] = rows[k - 1], rows[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lam_k = lam[k][k - 1]
-        new_d = (d[k - 1] * d[k + 1] + lam_k * lam_k) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_k * t) // d[k]
-            lam[i][k - 1] = (new_d * t + lam_k * lam[i][k]) // d[k + 1]
-        d[k] = new_d
+    def reduce_by(k: int, l: int, x: int, dl: int) -> None:
+        # r: nearest integer to mu_kl = x / dl (x = lam[k][l], dl = d[l+1]);
+        # mostly +-1, and then row l and its lam prefix go in unmultiplied.
+        r = (2 * x + dl) // (2 * dl)
+        lk, ll = lam[k], lam[l]
+        op = add if r == -1 else sub
+        if r == 1 or r == -1:
+            row, prefix = rows[l], ll[:l]
+        else:
+            row, prefix = map(r.__mul__, rows[l]), map(r.__mul__, ll[:l])
+        rows[k] = list(map(op, rows[k], row))
+        lk[:l] = map(op, lk, prefix)
+        lk[l] = x - r * dl
 
     _gso_row(rows, d, lam, 0)
     kmax = 0
@@ -113,16 +112,31 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
         if k > kmax:
             kmax = k
             _gso_row(rows, d, lam, k)
-        size_reduce(k, k - 1)
+        lk, dk = lam[k], d[k]
+        x = lk[k - 1]
+        if 2 * abs(x) > dk:
+            reduce_by(k, k - 1, x, dk)
+            x = lk[k - 1]
         # Lovasz: d[k+1]/d[k] >= (p/q - lam^2/d[k]^2) * d[k]/d[k-1],
         # cross-multiplied by q * d[k] * d[k-1] > 0.
-        lam_k = lam[k][k - 1]
-        if q * (d[k - 1] * d[k + 1] + lam_k * lam_k) < p * d[k] * d[k]:
-            swap(k, kmax)
+        dk_next = d[k + 1]
+        num = d[k - 1] * dk_next + x * x
+        if q * num < p * dk * dk:
+            # swap rows k-1 and k; update d[k] and lam columns k-1, k below
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+            lk[: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lk[: k - 1]
+            new_d = num // dk
+            for li in lam[k + 1 : kmax + 1]:
+                t = li[k]
+                li[k] = (dk_next * li[k - 1] - x * t) // dk
+                li[k - 1] = (new_d * t + x * li[k]) // dk_next
+            d[k] = new_d
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                size_reduce(k, l)
+                x, dl = lk[l], d[l + 1]
+                if 2 * abs(x) > dl:
+                    reduce_by(k, l, x, dl)
             k += 1
     return Basis.from_rows(rows)
 

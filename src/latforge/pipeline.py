@@ -15,7 +15,7 @@ from decimal import Decimal
 from .core import Basis, BasisMetrics, gram_det, metrics, reduction_key
 from .errors import BadStageParamsError, StageInfeasibleError
 from .ldsf import LdsfConfig, LdsfTrace, ldsf_run, sigma_candidates
-from .lll import LllParams, lll_reduce
+from .lll import LllParams, _quoted, lll_reduce
 from .parallel import derive_rng, derive_seed
 
 KIND_LDSF = "ldsf"
@@ -95,7 +95,7 @@ def default_four_stage(
     then a terminating whole-basis reduction."""
     if l_blocks >= m_blocks:
         raise BadStageParamsError(
-            f"third-stage block count {l_blocks} must be < {m_blocks}"
+            f"third-stage block count {_quoted(l_blocks)} must be < {_quoted(m_blocks)}"
         )
     return [
         StageSpec(kind=KIND_LDSF, alpha=alpha, blocks=m_blocks),
@@ -135,16 +135,16 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
         need = max(3, 2 * stage.blocks)
         if stage.kind != KIND_LLL and b0.m < need:
             raise StageInfeasibleError(
-                f"stage {index}: {stage.kind} with {stage.blocks} blocks "
-                f"needs rank >= {need}, got {b0.m}"
+                f"stage {index}: {stage.kind} with {_quoted(stage.blocks)} blocks "
+                f"needs rank >= {_quoted(need)}, got {b0.m}"
             )
     started = time.perf_counter()
     # Every stage output spans the lattice of b0: one determinant serves all.
     gram = gram_det(b0)
     current = b0
+    before = metrics(current, gram)
     reports: list[StageReport] = []
     for index, stage in enumerate(stages, start=1):
-        before = metrics(current, gram)
         stage_started = time.perf_counter()
         stage_seed = derive_seed(seed, "stage", index)
         if stage.kind == KIND_LLL:
@@ -178,6 +178,7 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
                 seconds=time.perf_counter() - stage_started,
             )
         )
+        before = after
     return PipelineReport(
         stage_reports=tuple(reports),
         final_basis=current,
@@ -207,7 +208,9 @@ def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
     except (TypeError, ValueError) as exc:
         raise BadStageParamsError(f"'alpha': {exc}") from exc
     try:
-        spec["target_bound"] = Decimal(str(target)) if target is not None else None
+        # An int goes in whole: str() of one fails past 4,300 digits.
+        exact = target if type(target) is int else str(target)
+        spec["target_bound"] = Decimal(exact) if target is not None else None
     except ArithmeticError as exc:
         raise BadStageParamsError(f"'target' is not a decimal: {target!r}") from exc
     return StageSpec(**spec)

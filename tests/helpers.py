@@ -22,6 +22,11 @@ The oracles import no private primitive of the library: ``_dot``,
 
 ``eager_metrics`` computes the four metric values all at once, with the
 reference determinant, as the reference for the lazy ``BasisMetrics``.
+
+``lll_reduce_reference`` is the loop form of the integral LLL kernel, a
+Python call per size-reduction test and a comprehension per row update,
+with its own copy of the GSO row step.  It makes the same decisions as
+``lll_reduce`` by construction, so the two must return equal rows.
 """
 
 from __future__ import annotations
@@ -276,3 +281,67 @@ def _enumerate_box_python(b: Basis, bound: int) -> tuple[tuple[int, ...], int]:
         if best_sq is None or sq < best_sq:
             best_sq, best_coeffs = sq, coeffs
     return best_coeffs, best_sq
+
+
+def _gso_row_reference(rows, d: list[int], lam: list[list[int]], k: int) -> None:
+    """Row k of the integral GSO (Cohen 1993, Alg. 2.6.7), rows 0..k-1 done."""
+    for j in range(k + 1):
+        u = _dot(rows[k], rows[j])
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        elif u == 0:
+            raise DependentRowsError(f"row {k} depends on rows above it")
+        else:
+            d[k + 1] = u
+
+
+def lll_reduce_reference(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
+    """Swap-based LLL on the integral d/lam data, in plain loops."""
+    m = b.m
+    rows = [list(r) for r in b.rows]
+    p, q = params.alpha.numerator, params.alpha.denominator
+
+    d = [1] * (m + 1)
+    lam = [[0] * m for _ in range(m)]
+
+    def size_reduce(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            # nearest integer to mu_kl = lam[k][l] / d[l+1]
+            r = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            rows[k] = [a - r * c for a, c in zip(rows[k], rows[l])]
+            lam[k][l] -= r * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= r * lam[l][i]
+
+    def swap(k: int, kmax: int) -> None:
+        rows[k], rows[k - 1] = rows[k - 1], rows[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lam_k = lam[k][k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lam_k * lam_k) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lam_k * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lam_k * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+
+    _gso_row_reference(rows, d, lam, 0)
+    kmax = 0
+    k = 1
+    while k < m:
+        if k > kmax:
+            kmax = k
+            _gso_row_reference(rows, d, lam, k)
+        size_reduce(k, k - 1)
+        # Lovasz, cross-multiplied by q * d[k] * d[k-1] > 0.
+        lam_k = lam[k][k - 1]
+        if q * (d[k - 1] * d[k + 1] + lam_k * lam_k) < p * d[k] * d[k]:
+            swap(k, kmax)
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                size_reduce(k, l)
+            k += 1
+    return Basis.from_rows(rows)

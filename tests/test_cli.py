@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from datetime import timedelta
 from pathlib import Path
 
@@ -15,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latforge
-from latforge import Basis, bench, cli, hillclimb, lll_reduce, uniform_basis
+from latforge import Basis, bench, cli, core, hillclimb, lll_reduce, uniform_basis
 from latforge.cli import cli_main
 from latforge.latfile import save_lattice
+
+from helpers import counting
 
 
 @pytest.fixture
@@ -204,6 +207,51 @@ class TestHybrid:
         err = capsys.readouterr().err
         assert message in err
         assert "internal error" not in err
+
+    def test_integer_past_4300_digits_in_blocks(self, rank8, tmp_path, capsys):
+        big = "1" * 5000  # over Python's 4,300-digit int <-> str limit
+        stages = tmp_path / "big.json"
+        stages.write_text(f'[{{"kind": "ldsf", "blocks": {big}}}]')
+        assert cli_main(["hybrid", "--stages", str(stages), "--in", rank8]) == 1
+        err = capsys.readouterr().err
+        assert f"error: stage 1: ldsf with {big[:37]}... blocks needs rank >= 2222" in err
+        assert "Exceeds the limit" not in err
+
+    def test_integer_past_4300_digits_in_target(self, rank8, tmp_path):
+        big = "1" * 5000
+        reports = []
+        for name, target in (("int", big), ("text", f'"{big}"')):
+            stages, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+            stages.write_text(f'[{{"kind": "ldsf", "blocks": 2, "target": {target}}}]')
+            argv = ["hybrid", "--stages", str(stages), "--in", rank8, "--report", str(report)]
+            assert cli_main(argv) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+
+
+class TestReportMetrics:
+    """Each reported basis gets one ``BasisMetrics``: rendering a report
+    takes the m row-norm logarithms of each distinct basis once."""
+
+    def test_hybrid_stage_before_is_previous_after(self, rank8, tmp_path, monkeypatch):
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([
+            {"kind": "ldsf", "blocks": 2},
+            {"kind": "sigma", "blocks": 2, "sample": 2},
+            {"kind": "lll"},
+        ]))
+        calls = Counter()
+        monkeypatch.setattr(core, "_log10", counting(calls, "_log10", core._log10))
+        argv = ["hybrid", "--stages", str(stages), "--in", rank8, "--report", str(tmp_path / "r")]
+        assert cli_main(argv) == 0
+        assert calls == {"_log10": (3 + 1) * 8}
+
+    def test_hc_best_is_a_reported_step(self, rank8, tmp_path, monkeypatch):
+        calls = Counter()
+        monkeypatch.setattr(core, "_log10", counting(calls, "_log10", core._log10))
+        argv = ["hc", "--radius", "6", "--k", "3", "--p", "3", "--target", "0"]
+        assert cli_main([*argv, "--in", rank8, "--report", str(tmp_path / "r")]) == 0
+        assert calls == {"_log10": (1 + 3) * 8}
 
 
 class TestAlphaText:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from latforge import (
+    perm,
     Basis,
     DependentRowsError,
     LllParams,
@@ -13,8 +14,14 @@ from latforge import (
     svp_oracle,
     uniform_basis,
 )
+from latforge.parallel import derive_rng
 
-from helpers import _is_lll_reduced_fraction, gso, same_lattice_oracle
+from helpers import (
+    _is_lll_reduced_fraction,
+    gso,
+    lll_reduce_reference,
+    same_lattice_oracle,
+)
 
 ALPHAS = [LllParams(Fraction(3, 4)), LllParams("9/10"), LllParams("9999/10000")]
 
@@ -193,3 +200,44 @@ class TestIsReducedAgreesWithReference:
         for check in (is_lll_reduced, _is_lll_reduced_fraction):
             with pytest.raises(DependentRowsError):
                 check(b)
+
+
+KERNEL_ALPHAS = [LllParams("3/4"), LllParams("51/100"), LllParams("99/100")]
+
+# Each has a row that depends on the rows above it.
+DEPENDENT_ROWS = [
+    ((1, 2, 3), (2, 4, 6)),
+    ((1, 0, 0), (0, 1, 0), (3, -2, 0)),
+    ((5, 1, 0, 0), (1, 7, 1, 0), (6, 8, 1, 0), (0, 0, 0, 1)),
+    ((40, 1, 0, 0, 0), (3, 1, 0, 0, 0), (0, 2, 9, 0, 0), (1, 0, 3, 0, 0)),
+]
+
+
+def _kernel_corpus() -> list[Basis]:
+    """Small uniform bases, knapsack bases up to 1000-bit weights, and the
+    hill-climb shape: radius-35 permutations of lll(knapsack(40, 60-bit)),
+    reduced by the reference so the corpus does not rest on the kernel."""
+    corpus = [uniform_basis(m, seed=seed) for m in range(2, 13) for seed in range(5)]
+    corpus += [knapsack_basis(8, 30), knapsack_basis(12, 200), knapsack_basis(10, 1000)]
+    start = lll_reduce_reference(knapsack_basis(40, 60))
+    corpus += [
+        perm.apply(start, perm.sample_at_radius(40, 35, derive_rng("kernel", j)))
+        for j in range(16)
+    ]
+    return corpus
+
+
+class TestKernelMatchesReference:
+    @pytest.mark.parametrize("params", KERNEL_ALPHAS, ids=["3/4", "51/100", "99/100"])
+    def test_equal_rows_and_errors(self, params):
+        """``lll_reduce`` against the loop-form kernel of ``helpers``: the
+        same rounding, swaps and order give equal rows, not just reduced
+        ones.  Dependent rows come last: a kernel with a wrong swap can loop
+        on them, and the corpus stops it first."""
+        for b in _kernel_corpus():
+            assert lll_reduce(b, params).rows == lll_reduce_reference(b, params).rows
+        for rows in DEPENDENT_ROWS:
+            with pytest.raises(DependentRowsError) as expected:
+                lll_reduce_reference(Basis(rows), params)
+            with pytest.raises(DependentRowsError, match=f"^{expected.value}$"):
+                lll_reduce(Basis(rows), params)
