@@ -3,11 +3,10 @@ tabulate what happens to the shortest vector."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Iterable, Sequence
 
-from .core import REAL, Basis, _sqrt
+from .core import REAL, Basis, Record, _sqrt
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
 from .perm import apply, check_radius, sample_at_radius
@@ -16,8 +15,7 @@ from .perm import apply, check_radius, sample_at_radius
 _REALS = ("min", "max", "mean", "std", "range")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     radius: int
     min: Decimal
     max: Decimal
@@ -30,8 +28,7 @@ class SweepRow:
         return {"radius": self.radius, **{c: format_real(getattr(self, c)) for c in _REALS}}
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage or input error, 2 computation error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from decimal import Decimal
 from typing import Sequence
@@ -24,7 +23,7 @@ from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
 from .latfile import load_lattice
 from .ldsf import LdsfConfig, ldsf_run
 from .lll import LllParams, lll_reduce
-from .pipeline import run_pipeline, stages_from_list
+from .pipeline import load_stages, run_pipeline
 
 # Only these two mean a computation could not finish (exit 2); every other
 # library error comes from a check on the input (exit 1).
@@ -195,11 +194,7 @@ def _cmd_ldsf(args, basis: Basis) -> int:
 
 
 def _cmd_hybrid(args, basis: Basis) -> int:
-    with open(args.stages, "r", encoding="utf-8") as fh:
-        # Through Decimal: int() of a string is capped at 4,300 digits.
-        raw = json.load(fh, parse_int=lambda text: int(Decimal(text)))
-    stages = stages_from_list(raw, args.alpha)
-    report = run_pipeline(basis, stages, seed=args.seed)
+    report = run_pipeline(basis, load_stages(args.stages, args.alpha), seed=args.seed)
     last = report.stage_reports[-1]
     print(
         f"hybrid: stages={len(report.stage_reports)} "

@@ -10,7 +10,6 @@ inputs can run to hundreds of digits and would overflow a float.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -26,8 +25,62 @@ REAL = decimal.Context(prec=50)
 DEFAULT_ENUM_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Basis:
+class Record:
+    """Immutable record with the value semantics of a frozen dataclass: the
+    fields are the annotations, in order, a class attribute is a default,
+    ``__post_init__`` runs after the fields are bound, and ``==`` (within
+    one class), ``hash`` and ``repr`` use the field tuple.
+
+    It stands in for ``dataclasses`` to cut the start-up every run pays:
+    that module loads ``inspect`` (about 16 ms), and each frozen dataclass
+    execs six generated methods (about 1 ms a class).
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            rest, values = names[len(args):], {**self._defaults, **kwargs}
+            if len(args) > len(names) or not kwargs.keys() <= set(rest) <= values.keys():
+                raise TypeError(
+                    f"{type(self).__name__}{names}: {len(args)} positional, {list(kwargs)} by name"
+                )
+            args = (*args, *map(values.__getitem__, rest))
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with ``changes`` applied, as ``dataclasses.replace``."""
+        return type(self)(**{**self.__dict__, **changes})
+
+
+class Basis(Record):
     """Rank-m basis of a lattice in Z^n, stored as m rows of length n.
 
     Rows are assumed linearly independent over the rationals; operations
@@ -117,8 +170,7 @@ class BasisMetrics:
         return f"BasisMetrics{self._values()}"
 
 
-@dataclass(frozen=True)
-class SvpResult:
+class SvpResult(Record):
     """Outcome of exhaustive shortest-vector enumeration."""
 
     vector: tuple[int, ...]

@@ -11,38 +11,33 @@ elements of PSL(2,p) acting on the projective line.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from typing import Callable, Union
 
 from . import perm
-from .core import REAL, Basis, BasisMetrics, gram_det, metrics, reduction_key, _sqrt
+from .core import REAL, Basis, BasisMetrics, Record, gram_det, metrics, reduction_key, _sqrt
 from .errors import DegreeMismatchError, InfeasibleRadiusError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
 
 
-@dataclass(frozen=True)
-class FixedRadius:
+class FixedRadius(Record):
     radius: int
 
 
-@dataclass(frozen=True)
-class VariableRadius:
+class VariableRadius(Record):
     r0: int
     rstep: int = 1
 
 
-@dataclass(frozen=True)
-class Psl2:
+class Psl2(Record):
     prime: int
 
 
 HcKind = Union[FixedRadius, VariableRadius, Psl2]
 
 
-@dataclass(frozen=True)
-class HcConfig:
+class HcConfig(Record):
     """Sample size k, step budget, reduction parameter, stopping bound.
 
     ``target_bound`` of None falls back to the default output target
@@ -65,8 +60,7 @@ class HcConfig:
             raise ValueError("rstep must be >= 1")
 
 
-@dataclass(frozen=True)
-class HcStep:
+class HcStep(Record):
     index: int
     permutation: perm.Permutation
     basis: Basis
@@ -75,8 +69,7 @@ class HcStep:
     seconds: float
 
 
-@dataclass(frozen=True)
-class HcTrace:
+class HcTrace(Record):
     steps: tuple[HcStep, ...]
     best_basis: Basis
     best_metrics: BasisMetrics

@@ -8,15 +8,13 @@ are free-form; anything else is a parse error with a line/column position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Decimal
 
-from .core import Basis, int_str, is_independent
+from .core import Basis, Record, int_str, is_independent
 from .errors import ParseError, RankDeficientError
 
 
-@dataclass(frozen=True)
-class LatticeFile:
+class LatticeFile(Record):
     basis: Basis
     source: str
 

@@ -14,18 +14,16 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, gram_det, metrics, _sqrt
+from .core import Basis, BasisMetrics, Record, gram_det, metrics, _sqrt
 from .errors import BadBlockingError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
 from .perm import Permutation, apply, sample_right
 
 
-@dataclass(frozen=True)
-class LdsfConfig:
+class LdsfConfig(Record):
     """Block count, loop depths, stop bound.  Blocks hold ceil(m / servers)
     rows each; see ``ldsf_run``."""
 
@@ -43,8 +41,7 @@ class LdsfConfig:
             raise ValueError("inner_iters and outer_iters must be >= 1")
 
 
-@dataclass(frozen=True)
-class LdsfRound:
+class LdsfRound(Record):
     outer: int
     inner: int
     block_metrics: tuple[BasisMetrics, ...]
@@ -53,8 +50,7 @@ class LdsfRound:
     permutation: Permutation
 
 
-@dataclass(frozen=True)
-class LdsfTrace:
+class LdsfTrace(Record):
     rounds: tuple[LdsfRound, ...]
     best_vector_norm: Decimal
     best_basis: Basis
@@ -174,7 +170,7 @@ def sigma_candidates(
     out = []
     for i in range(n_perms):
         pi = sample_right(b.m, rng)
-        run_cfg = replace(cfg, seed=derive_seed(cfg.seed, "sigma", i))
+        run_cfg = cfg.replace(seed=derive_seed(cfg.seed, "sigma", i))
         out.append((pi, ldsf_run(apply(b, pi), run_cfg, gram)))
     return out
 

@@ -15,16 +15,14 @@ lam updates run through ``map`` in C, not a Python loop per entry.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import add, sub
 
-from .core import Basis, _gso_row, _integral_gso, int_str
+from .core import Basis, Record, _gso_row, _integral_gso, int_str
 
 
-@dataclass(frozen=True)
-class LllParams:
+class LllParams(Record):
     """Reduction parameter alpha, an exact rational in (1/4, 1).
 
     Strings such as "0.9999" or "9999/10000" are accepted and converted
@@ -63,14 +61,37 @@ class LllParams:
 
 def _quoted(given: object) -> str:
     """``given`` cut to 40 characters for an error message.  An int or
-    Fraction is rendered by ``int_str``: ``str`` fails past 4,300 digits."""
-    if isinstance(given, (int, Fraction)) and not isinstance(given, bool):
+    Fraction, also inside a list or dict, is rendered by ``int_str``: ``str``
+    fails past 4,300 digits.  Rendering stops at the cut, so a deep nesting
+    costs no more than a short one."""
+    text = ""
+    for piece in _pieces(given):
+        text += piece
+        if len(text) > 40:
+            return text[:37] + "..."
+    return text
+
+
+def _pieces(given: object):
+    if isinstance(given, list):
+        yield "["
+        for i, item in enumerate(given):
+            yield ", " if i else ""
+            yield from _pieces(item)
+        yield "]"
+    elif isinstance(given, dict):
+        yield "{"
+        for i, (key, value) in enumerate(given.items()):
+            yield ", " if i else ""
+            yield from _pieces(key)
+            yield ": "
+            yield from _pieces(value)
+        yield "}"
+    elif isinstance(given, (int, Fraction)) and not isinstance(given, bool):
         q = Fraction(given)
-        text = int_str(q.numerator)
-        text += f"/{int_str(q.denominator)}" if q.denominator > 1 else ""
+        yield int_str(q.numerator) + (f"/{int_str(q.denominator)}" if q.denominator > 1 else "")
     else:
-        text = repr(given) if isinstance(given, str) else str(given)
-    return text if len(text) <= 40 else text[:37] + "..."
+        yield repr(given) if isinstance(given, str) else str(given)
 
 
 DEFAULT_PARAMS = LllParams(Fraction(3, 4))

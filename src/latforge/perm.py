@@ -12,9 +12,8 @@ from __future__ import annotations
 import enum
 import math
 import random
-from dataclasses import dataclass
 
-from .core import Basis
+from .core import Basis, Record
 from .errors import (
     DegreeMismatchError,
     DegreeTooSmallError,
@@ -28,8 +27,7 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Record):
     """Element of S_m in Cartesian form: images[i-1] = pi(i), 1-based values."""
 
     images: tuple[int, ...]
@@ -64,8 +62,7 @@ class Permutation:
         return cls(tuple(range(1, m + 1)))
 
 
-@dataclass(frozen=True)
-class RadiusClass:
+class RadiusClass(Record):
     radius: int
     side: Side
 

@@ -8,11 +8,11 @@ best-of-n sampled run, or a terminating whole-basis reduction.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, fields
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, gram_det, metrics, reduction_key
+from .core import Basis, BasisMetrics, Record, gram_det, metrics, reduction_key
 from .errors import BadStageParamsError, StageInfeasibleError
 from .ldsf import LdsfConfig, LdsfTrace, ldsf_run, sigma_candidates
 from .lll import LllParams, _quoted, lll_reduce
@@ -36,8 +36,7 @@ _STAGE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class StageSpec:
+class StageSpec(Record):
     """One pipeline stage: a kind and the fields it reads (``_STAGE_FIELDS``)."""
 
     kind: str
@@ -50,11 +49,11 @@ class StageSpec:
 
     def __post_init__(self):
         if self.kind not in _STAGE_FIELDS:
-            raise BadStageParamsError(f"unknown stage kind {self.kind!r}")
+            raise BadStageParamsError(f"unknown stage kind {_quoted(self.kind)}")
         read = _STAGE_FIELDS[self.kind].values()
         unread = [
-            f.name for f in fields(self)
-            if f.name not in read and getattr(self, f.name) != f.default
+            f for f in self._fields
+            if f not in read and getattr(self, f) != self._defaults.get(f)
         ]
         if unread:
             raise BadStageParamsError(f"{self.kind} stage does not use {', '.join(unread)}")
@@ -68,8 +67,7 @@ class StageSpec:
             raise BadStageParamsError(f"target must be finite, got {self.target_bound}")
 
 
-@dataclass(frozen=True)
-class StageReport:
+class StageReport(Record):
     index: int
     kind: str
     blocks: int
@@ -81,8 +79,7 @@ class StageReport:
     seconds: float
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(Record):
     stage_reports: tuple[StageReport, ...]
     final_basis: Basis
     seconds: float
@@ -189,35 +186,45 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
 def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
     """One stage-file entry; a malformed entry raises BadStageParamsError."""
     if not isinstance(data, dict):
-        raise BadStageParamsError(f"entry must be a JSON object, got {data!r}")
+        raise BadStageParamsError(f"entry must be a JSON object, got {_quoted(data)}")
     kind, target = data.get("kind"), data.get("target")
     if not isinstance(kind, str):
         raise BadStageParamsError("stage entry needs a 'kind' string")
     if kind not in _STAGE_FIELDS:
-        raise BadStageParamsError(f"unknown stage kind {kind!r}")
+        raise BadStageParamsError(f"unknown stage kind {_quoted(kind)}")
     unused = sorted(set(data) - set(_STAGE_FIELDS[kind]))
     if unused:
-        raise BadStageParamsError(f"{kind} stage does not use {', '.join(map(repr, unused))}")
+        raise BadStageParamsError(f"{kind} stage does not use {', '.join(map(_quoted, unused))}")
     for key in ("blocks", "sample", "inner", "outer"):
         value = data.get(key, 1)
         if isinstance(value, bool) or not isinstance(value, int):
-            raise BadStageParamsError(f"'{key}' must be an integer, got {value!r}")
+            raise BadStageParamsError(f"'{key}' must be an integer, got {_quoted(value)}")
     spec = {_STAGE_FIELDS[kind][key]: value for key, value in data.items()}
     try:
         spec["alpha"] = LllParams(data["alpha"]) if "alpha" in data else default_alpha
     except (TypeError, ValueError) as exc:
         raise BadStageParamsError(f"'alpha': {exc}") from exc
     try:
-        # An int goes in whole: str() of one fails past 4,300 digits.
+        # An int goes in whole: str() of one, alone or in a list, fails
+        # past 4,300 digits.
         exact = target if type(target) is int else str(target)
         spec["target_bound"] = Decimal(exact) if target is not None else None
-    except ArithmeticError as exc:
-        raise BadStageParamsError(f"'target' is not a decimal: {target!r}") from exc
+    except (ArithmeticError, ValueError) as exc:
+        raise BadStageParamsError(f"'target' is not a decimal: {_quoted(target)}") from exc
     return StageSpec(**spec)
 
 
-def stages_from_list(raw: object, default_alpha: LllParams) -> list[StageSpec]:
-    """Parse a whole stage file; errors name the 1-based stage position."""
+def load_stages(path: str, default_alpha: LllParams) -> list[StageSpec]:
+    """Read a JSON stage file.  Text that is not UTF-8 JSON raises
+    BadStageParamsError with the decoder's position where it gives one;
+    a bad entry's error names its 1-based stage position."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            # Through Decimal: int() of a string is capped at 4,300 digits.
+            raw = json.load(fh, parse_int=lambda text: int(Decimal(text)))
+        except (ValueError, RecursionError) as exc:
+            # Bad UTF-8 and bad JSON are ValueErrors; deep nesting recurses.
+            raise BadStageParamsError(f"stage file: {exc}") from exc
     if not isinstance(raw, list):
         raise BadStageParamsError("stage file must hold a JSON list")
     stages = []

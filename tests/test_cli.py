@@ -228,6 +228,45 @@ class TestHybrid:
             reports.append(report.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"[" * 100_000 + b"]" * 100_000, "stage file: maximum recursion depth exceeded"),
+            (b"\xff\xfe", "stage file: 'utf-8' codec can't decode byte 0xff in position 0"),
+            (b'[{"kind": "lll"},\n ]', "stage file: Expecting value: line 2 column 2"),
+        ],
+        ids=["deep-nesting", "not-utf8", "bad-json"],
+    )
+    def test_undecodable_stage_file(self, rank8, tmp_path, capsys, content, message):
+        stages = tmp_path / "bad.json"
+        stages.write_bytes(content)
+        assert cli_main(["hybrid", "--stages", str(stages), "--in", rank8]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("blocks", "[{big}]", "'blocks' must be an integer, got [{cut}..."),
+            ("blocks", '{{"a": {big}}}', "'blocks' must be an integer, got {{'a': {cut5}..."),
+            ("target", "[{big}]", "'target' is not a decimal: [{cut}..."),
+            ("alpha", "[{big}]", "'alpha': argument should be a string or a Rational"),
+        ],
+        ids=["blocks-list", "blocks-object", "target-list", "alpha-list"],
+    )
+    def test_long_integer_inside_a_rejected_value(
+        self, rank8, tmp_path, capsys, key, value, message
+    ):
+        big = "1" * 5000
+        fill = {"big": big, "cut": big[:36], "cut5": big[:31]}
+        stages = tmp_path / "big.json"
+        stages.write_text(f'[{{"kind": "ldsf", "{key}": {value.format(**fill)}}}]')
+        assert cli_main(["hybrid", "--stages", str(stages), "--in", rank8]) == 1
+        err = capsys.readouterr().err
+        assert f"error: stage 1: {message.format(**fill)}" in err
+        assert "Exceeds the limit" not in err
+
 
 class TestReportMetrics:
     """Each reported basis gets one ``BasisMetrics``: rendering a report

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +11,11 @@ from latforge import (
     Basis,
     BoxTooLargeError,
     DependentRowsError,
+    FixedRadius,
+    HcConfig,
+    LllParams,
+    Psl2,
+    VariableRadius,
     gram_det,
     hnf,
     knapsack_basis,
@@ -31,6 +38,72 @@ from helpers import (
     lattice_contains,
     same_lattice_oracle,
 )
+
+
+class TestRecord:
+    """The immutable records compare, hash, print and copy as a frozen
+    dataclass does."""
+
+    def test_equality_is_by_class_and_fields(self):
+        assert FixedRadius(3) == FixedRadius(radius=3)
+        assert FixedRadius(3) != FixedRadius(4)
+        assert FixedRadius(3) != Psl2(3)
+        assert FixedRadius(3).__eq__(Psl2(3)) is NotImplemented
+        assert FixedRadius(3) != (3,)
+
+    def test_hash_is_hash_of_field_tuple(self):
+        assert hash(VariableRadius(2, 5)) == hash((2, 5))
+        b = Basis(((1, 0), (0, 1)))
+        assert hash(b) == hash((b.rows,))
+        assert len({FixedRadius(3), FixedRadius(3), Psl2(3)}) == 2
+
+    def test_repr(self):
+        assert repr(VariableRadius(2)) == "VariableRadius(r0=2, rstep=1)"
+        assert repr(LllParams("3/4")) == "LllParams(alpha=Fraction(3, 4))"
+        assert repr(Basis([[1, 2]])) == "Basis(rows=((1, 2),))"
+
+    def test_defaults(self):
+        assert VariableRadius(2).rstep == 1
+        assert VariableRadius(2) == VariableRadius(r0=2, rstep=1)
+        cfg = HcConfig(FixedRadius(3), 4, 5, LllParams("3/4"))
+        assert (cfg.target_bound, cfg.seed) == (None, 0)
+
+    def test_assignment_and_deletion_raise(self):
+        r = VariableRadius(2)
+        with pytest.raises(AttributeError):
+            r.rstep = 3
+        with pytest.raises(AttributeError):
+            del r.r0
+        with pytest.raises(AttributeError):
+            r.other = 1
+        assert r == VariableRadius(2, 1)
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((), {}), ((), {"rstep": 2}), ((1, 2, 3), {}), ((1,), {"r0": 1}), ((1,), {"step": 2})],
+        ids=["missing", "missing-r0", "too-many", "twice", "unknown"],
+    )
+    def test_missing_or_unknown_field_raises_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            VariableRadius(*args, **kwargs)
+
+    def test_post_init_normalises_rows(self):
+        b = Basis([[True, 2], [Fraction(3), Decimal(4)]])
+        assert b.rows == ((1, 2), (3, 4))
+        assert type(b.rows) is tuple
+        assert all(type(row) is tuple for row in b.rows)
+        assert all(type(x) is int for row in b.rows for x in row)
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        cfg = HcConfig(VariableRadius(2, 3), 4, 5, LllParams("99/100"), Decimal("1.5"), seed=7)
+        for value in (knapsack_basis(6, 40, seed=3), cfg):
+            for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+                assert type(twin) is type(value)
+                assert twin == value
+                assert hash(twin) == hash(value)
+                assert repr(twin) == repr(value)
+                with pytest.raises(AttributeError):
+                    twin.other = 1
 
 
 class TestBasis:

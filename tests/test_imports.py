@@ -7,15 +7,23 @@ module lists in ``__all__`` (the package re-exports) count as read, and
 ``from __future__ import ...`` binds nothing.  ``tests/helpers.py`` holds
 the independent oracles, so it may not import a ``_``-prefixed name from
 a latforge module: an oracle that borrows a primitive shares its faults.
+
+Start-up is part of every run, so the library does not import
+``dataclasses``: it loads ``inspect`` and builds each frozen record by
+``exec``.  Both guards below keep it out.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")])
+SRC = sorted(ROOT.glob("src/**/*.py"))
+MODULES = sorted([*SRC, *ROOT.glob("tests/**/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -115,3 +123,50 @@ def test_oracles_import_no_private_name():
 )
 def test_check_finds_private_imports(source, found):
     assert private_latforge_imports(source) == found
+
+
+def imports_of(source: str, module: str) -> list[int]:
+    """Lines that import ``module`` or a submodule of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name == module or name.startswith(module + ".") for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_src_does_not_import_dataclasses():
+    found = {
+        str(path.relative_to(ROOT)): lines
+        for path in SRC
+        if (lines := imports_of(path.read_text(encoding="utf-8"), "dataclasses"))
+    }
+    assert found == {}
+
+
+@pytest.mark.parametrize(
+    "source,lines",
+    [
+        ("import dataclasses\n", [1]),
+        ("import os, dataclasses as dc\n", [1]),
+        ("\nfrom dataclasses import dataclass\n", [2]),
+        ("from .dataclasses import x\nimport dataclasses_json\n", []),
+    ],
+)
+def test_dataclasses_rule_finds_imports(source, lines):
+    assert imports_of(source, "dataclasses") == lines
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = "import latforge.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
