@@ -17,10 +17,10 @@ from typing import Sequence
 
 from . import serialize
 from .bench import improvement_frequency, radius_sweep
-from .core import DEFAULT_ENUM_BUDGET, Basis, metrics, svp_oracle
+from .core import DEFAULT_ENUM_BUDGET, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
-from .latfile import load_lattice
+from .latfile import LatticeFile, load_lattice
 from .ldsf import LdsfConfig, ldsf_run
 from .lll import LllParams, lll_reduce
 from .pipeline import load_stages, run_pipeline
@@ -127,8 +127,8 @@ def _emit_report(args, payload: dict) -> None:
         _write(args.report, serialize.to_json(payload))
 
 
-def _cmd_lll(args, basis: Basis) -> int:
-    reduced = lll_reduce(basis, args.alpha)
+def _cmd_lll(args, lattice: LatticeFile) -> int:
+    reduced = lll_reduce(lattice.basis, args.alpha)
     after = metrics(reduced)
     print(
         f"lll: shortest={after.shortest:.6g} longest={after.longest:.6g} "
@@ -138,7 +138,7 @@ def _cmd_lll(args, basis: Basis) -> int:
         args,
         {
             "command": "lll",
-            "before": serialize.metrics_dict(metrics(basis)),
+            "before": serialize.metrics_dict(metrics(lattice.basis)),
             "after": serialize.metrics_dict(after),
             "basis": serialize.basis_entries(reduced),
         },
@@ -146,7 +146,7 @@ def _cmd_lll(args, basis: Basis) -> int:
     return 0
 
 
-def _cmd_hc(args, basis: Basis) -> int:
+def _cmd_hc(args, lattice: LatticeFile) -> int:
     chosen = [x for x in (args.radius, args.r0, args.psl2) if x is not None]
     if len(chosen) != 1:
         raise ValueError("pass exactly one of --radius, --r0, --psl2")
@@ -166,7 +166,7 @@ def _cmd_hc(args, basis: Basis) -> int:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = hill_climb(basis, cfg)
+    trace = hill_climb(lattice.basis, cfg, lattice.gram)
     print(
         f"hc: best shortest={trace.best_metrics.shortest:.6g} "
         f"steps={len(trace.steps)} reached_target={trace.reached_target}"
@@ -175,7 +175,7 @@ def _cmd_hc(args, basis: Basis) -> int:
     return 0
 
 
-def _cmd_ldsf(args, basis: Basis) -> int:
+def _cmd_ldsf(args, lattice: LatticeFile) -> int:
     cfg = LdsfConfig(
         servers=args.blocks,
         inner_iters=args.inner,
@@ -184,7 +184,7 @@ def _cmd_ldsf(args, basis: Basis) -> int:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = ldsf_run(basis, cfg)
+    trace = ldsf_run(lattice.basis, cfg, lattice.gram)
     print(
         f"ldsf: best shortest={trace.best_vector_norm:.6g} "
         f"rounds={len(trace.rounds)} reached_target={trace.reached_target}"
@@ -193,8 +193,9 @@ def _cmd_ldsf(args, basis: Basis) -> int:
     return 0
 
 
-def _cmd_hybrid(args, basis: Basis) -> int:
-    report = run_pipeline(basis, load_stages(args.stages, args.alpha), seed=args.seed)
+def _cmd_hybrid(args, lattice: LatticeFile) -> int:
+    stages = load_stages(args.stages, args.alpha)
+    report = run_pipeline(lattice.basis, stages, seed=args.seed, gram=lattice.gram)
     last = report.stage_reports[-1]
     print(
         f"hybrid: stages={len(report.stage_reports)} "
@@ -204,16 +205,18 @@ def _cmd_hybrid(args, basis: Basis) -> int:
     return 0
 
 
-def _cmd_sweep(args, basis: Basis) -> int:
-    result = radius_sweep(basis, args.radii, args.samples, args.alpha, seed=args.seed)
+def _cmd_sweep(args, lattice: LatticeFile) -> int:
+    result = radius_sweep(
+        lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
+    )
     _write(args.out_csv, result.to_csv())
     _emit_report(args, {"command": "sweep", **serialize.sweep_dict(result)})
     return 0
 
 
-def _cmd_freq(args, basis: Basis) -> int:
+def _cmd_freq(args, lattice: LatticeFile) -> int:
     freqs = improvement_frequency(
-        basis, args.radii, args.samples, args.alpha, seed=args.seed
+        lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
     )
     lines = ["radius,frequency"]
     lines.extend(f"{r},{freqs[r]:g}" for r in args.radii)
@@ -228,8 +231,8 @@ def _cmd_freq(args, basis: Basis) -> int:
     return 0
 
 
-def _cmd_oracle(args, basis: Basis) -> int:
-    result = svp_oracle(basis, args.bound, budget=args.budget)
+def _cmd_oracle(args, lattice: LatticeFile) -> int:
+    result = svp_oracle(lattice.basis, args.bound, budget=args.budget)
     print(
         f"oracle: lambda1={result.lambda1:.6g} "
         f"checked={result.count_checked} vector={list(result.vector)}"
@@ -258,8 +261,7 @@ def cli_main(argv: Sequence[str]) -> int:
         return 0 if code == 0 else 1
     try:
         args.alpha = LllParams(args.alpha)
-        basis = load_lattice(args.infile).basis
-        return _COMMANDS[args.command](args, basis)
+        return _COMMANDS[args.command](args, load_lattice(args.infile))
     except COMPUTATION_ERRORS as exc:
         print(f"latforge {args.command}: computation failed: {exc}", file=sys.stderr)
         return 2

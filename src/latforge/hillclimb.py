@@ -126,21 +126,22 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
     return sampler
 
 
-def hill_climb(b0: Basis, cfg: HcConfig) -> HcTrace:
+def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
     """Walk from lll(b0) over row permutations drawn as ``cfg.kind`` says.
 
     FixedRadius samples one sphere of S_m every step; VariableRadius starts
     at r0 and grows the radius by rstep per step, clamped at m (the draws are
     right permutations once the schedule passes m/2); Psl2 draws elements of
     PSL(2,p) acting on p+1 points, so the rank must be p+1.
+    Every basis of the walk spans the lattice of b0: ``gram`` as in ``metrics``.
     """
     sampler = _sampler(b0.m, cfg)
     started = time.perf_counter()
     current = lll_reduce(b0, cfg.alpha)
     best = current
     best_key = reduction_key(current)
-    # Every basis of the walk spans the lattice of b0: one determinant.
-    gram = gram_det(current)
+    # One determinant for the walk, of the reduced basis when not given.
+    gram = gram_det(current) if gram is None else gram
     initial = best_metrics = metrics(current, gram)
     bound = det_bound(b0, gram)
     target = bound if cfg.target_bound is None else Decimal(str(cfg.target_bound))

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 from decimal import Decimal
 
-from .core import Basis, Record, int_str, is_independent
+from .core import Basis, Record, gram_det, int_str
 from .errors import ParseError, RankDeficientError
 
 
 class LatticeFile(Record):
+    """A parsed basis, where it came from, and det(B.B^T) from the
+    independence check, so that a run need not compute it again."""
+
     basis: Basis
     source: str
+    gram: int
 
 
 class _Scanner:
@@ -117,9 +121,10 @@ def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
             f"{len(rows)} rows in dimension {len(rows[0])} cannot be independent"
         )
     basis = Basis.from_rows(rows)
-    if not is_independent(basis):
+    gram = gram_det(basis)
+    if not gram:
         raise RankDeficientError("rows are linearly dependent")
-    return LatticeFile(basis=basis, source=source)
+    return LatticeFile(basis=basis, source=source, gram=gram)
 
 
 def format_lattice(b: Basis) -> str:

@@ -121,9 +121,12 @@ def _trace_extrema(traces: list[LdsfTrace]) -> tuple[Decimal, Decimal]:
     )
 
 
-def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineReport:
+def run_pipeline(
+    b0: Basis, stages: list[StageSpec], seed: int = 0, gram: int | None = None
+) -> PipelineReport:
     """Thread the basis through the stage list, reporting per-stage llb
-    (best shortest seen) and lub (best longest seen) plus wall time."""
+    (best shortest seen) and lub (best longest seen) plus wall time.
+    Every stage output spans the lattice of b0: ``gram`` as in ``metrics``."""
     if not stages:
         raise BadStageParamsError("stage list is empty")
     # Every stage keeps the rank, so all of them are checked before any runs:
@@ -136,8 +139,7 @@ def run_pipeline(b0: Basis, stages: list[StageSpec], seed: int = 0) -> PipelineR
                 f"needs rank >= {_quoted(need)}, got {b0.m}"
             )
     started = time.perf_counter()
-    # Every stage output spans the lattice of b0: one determinant serves all.
-    gram = gram_det(b0)
+    gram = gram_det(b0) if gram is None else gram
     current = b0
     before = metrics(current, gram)
     reports: list[StageReport] = []

@@ -18,7 +18,9 @@ from hypothesis import strategies as st
 import latforge
 from latforge import Basis, bench, cli, core, hillclimb, lll_reduce, uniform_basis
 from latforge.cli import cli_main
-from latforge.latfile import save_lattice
+from latforge.latfile import load_lattice, save_lattice
+from latforge.lll import LllParams
+from latforge.pipeline import load_stages, run_pipeline
 
 from helpers import counting
 
@@ -285,12 +287,75 @@ class TestReportMetrics:
         assert cli_main(argv) == 0
         assert calls == {"_log10": (3 + 1) * 8}
 
+    def test_each_distinct_row_norm_logarithm_is_computed_once(self, rank8, tmp_path):
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([
+            {"kind": "ldsf", "blocks": 2},
+            {"kind": "sigma", "blocks": 2, "sample": 2},
+            {"kind": "lll"},
+        ]))
+        # The reported bases are the input and each stage's output; a prefix
+        # of the stage list replays the same stages.
+        b0 = load_lattice(rank8).basis
+        specs = load_stages(str(stages), LllParams("3/4"))
+        bases = [b0] + [run_pipeline(b0, specs[:i]).final_basis for i in range(1, 4)]
+        distinct = {b.row_normsq(i) for b in bases for i in range(b.m)}
+        core._log10.cache_clear()
+        argv = ["hybrid", "--stages", str(stages), "--in", rank8, "--report", str(tmp_path / "r")]
+        assert cli_main(argv) == 0
+        info = core._log10.cache_info()
+        assert info.maxsize is not None
+        assert info.misses == len(distinct) < info.hits + info.misses == 4 * 8
+
     def test_hc_best_is_a_reported_step(self, rank8, tmp_path, monkeypatch):
         calls = Counter()
         monkeypatch.setattr(core, "_log10", counting(calls, "_log10", core._log10))
         argv = ["hc", "--radius", "6", "--k", "3", "--p", "3", "--target", "0"]
         assert cli_main([*argv, "--in", rank8, "--report", str(tmp_path / "r")]) == 0
         assert calls == {"_log10": (1 + 3) * 8}
+
+
+class TestOneDeterminantPerRun:
+    """hc, ldsf and hybrid take det(B.B^T) from the load check, so a run
+    calls ``gram_det`` once on its lattice.  Calls are counted through every
+    binding of the function in every latforge module, as perfbench's tracer
+    rebinds them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hc", "--radius", "6", "--k", "3", "--p", "2", "--target", "0"],
+            ["ldsf", "--blocks", "3", "--inner", "2", "--outer", "2"],
+            ["hybrid", "--stages", "STAGES"],
+        ],
+        ids=["hc", "ldsf", "hybrid"],
+    )
+    def test_one_gram_det_per_run(self, rank8, tmp_path, monkeypatch, argv):
+        stages = tmp_path / "stages.json"
+        stages.write_text(json.dumps([
+            {"kind": "ldsf", "blocks": 2},
+            {"kind": "sigma", "blocks": 3, "sample": 2},
+            {"kind": "lll"},
+        ]))
+        gram_det, ranks = core.gram_det, []
+
+        def counted(b):
+            ranks.append(b.m)
+            return gram_det(b)
+
+        bound = set()
+        for name, module in list(sys.modules.items()):
+            if name == "latforge" or name.startswith("latforge."):
+                for attr, value in list(vars(module).items()):
+                    if value is gram_det:
+                        monkeypatch.setattr(module, attr, counted)
+                        bound.add(name)
+        assert {f"latforge.{m}" for m in ("core", "hillclimb", "ldsf", "pipeline")} <= bound
+        argv = [str(stages) if a == "STAGES" else a for a in argv]
+        assert cli_main([*argv, "--in", rank8, "--report", str(tmp_path / "r")]) == 0
+        # The ldsf report also gives each reduced block its own determinant.
+        assert ranks.count(8) == 1
+        assert len(ranks) == 1 or argv[0] == "ldsf"
 
 
 class TestAlphaText:
@@ -495,20 +560,101 @@ _LAT_TEXT = st.one_of(
     _ROWS.map(_lat),
     st.text(alphabet="[]0123456789+- \n\tx", max_size=30),
 )
-_STAGE_VALUE = st.one_of(
-    st.none(), st.booleans(), st.integers(-2, 3), st.floats(), _OPTION_TEXT
+# Stage files for the fuzz, as bytes.  The JSON is built as text, not by
+# json.dumps, so that integers past Python's 4,300-digit str limit can sit
+# inside lists and objects.  Count fields ("blocks", "sample", "inner",
+# "outer") hold small integers or non-integers: a count asks for that much
+# work, so a large one makes a slow input, not a bug.
+_RECURSION_LIMIT = sys.getrecursionlimit()
+_LONG_INT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", "-"]),
+    st.sampled_from("123456789"),
+    st.integers(4290, 5000).map("0".__mul__),
 )
-_STAGE_ENTRY = st.one_of(
-    _STAGE_VALUE,
-    st.fixed_dictionaries(
-        {"kind": st.one_of(st.sampled_from(["ldsf", "sigma", "lll"]), _STAGE_VALUE)},
-        optional={
-            key: _STAGE_VALUE
-            for key in ("blocks", "sample", "inner", "outer", "alpha", "target")
-        },
-    ),
+_JSON_SCALAR = st.one_of(
+    st.sampled_from(["null", "true", "false", "1e400", "-1e400", "NaN", "Infinity", "2.0"]),
+    st.integers(-1, 3).map(str),
+    st.one_of(_OPTION_TEXT, st.sampled_from(["ldsf", "sigma", "lll"])).map(json.dumps),
 )
-_STAGE_FILE = st.one_of(st.lists(_STAGE_ENTRY, max_size=3), _STAGE_VALUE).map(json.dumps)
+_STAGE_KEYS = ("kind", "blocks", "sample", "inner", "outer", "alpha", "target")
+
+
+def _json_list(items: list[str]) -> str:
+    return "[" + ", ".join(items) + "]"
+
+
+def _json_object(pairs: dict[str, str]) -> str:
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in pairs.items()) + "}"
+
+
+def _json_containers(inner):
+    return st.one_of(
+        st.lists(inner, max_size=3).map(_json_list),
+        st.dictionaries(st.sampled_from([*_STAGE_KEYS, "a"]), inner, max_size=3).map(
+            _json_object
+        ),
+    )
+
+
+_JSON_TREE = st.recursive(st.one_of(_JSON_SCALAR, _LONG_INT), _json_containers, max_leaves=6)
+# Nesting from half to twice the recursion limit: the shallower ones decode
+# and reach the stage checks, the deeper ones stop the decoder.
+_JSON_DEEP = st.builds(
+    lambda pair, depth, inner: pair[0] * depth + inner + pair[1] * depth,
+    st.sampled_from([("[", "]"), ('{"a": ', "}"), ('[{"kind": "ldsf", "target": ', "}]")]),
+    st.integers(_RECURSION_LIMIT // 2, 2 * _RECURSION_LIMIT),
+    _JSON_SCALAR,
+)
+_JSON_VALUE = st.one_of(_JSON_TREE, _JSON_DEEP)
+
+
+def _mostly(good, bad):
+    """``good`` about three times in four, else ``bad``: many files then
+    reach the later checks and the pipeline itself."""
+    return st.integers(0, 3).flatmap(lambda pick: good if pick else bad)
+
+
+_STAGE_FIELD = {
+    "kind": _mostly(st.sampled_from(['"ldsf"', '"sigma"', '"lll"']), _JSON_VALUE),
+    "alpha": _mostly(st.sampled_from(['"3/4"', '"0.99"', '"1/2"']), _JSON_VALUE),
+    "target": _mostly(st.sampled_from(["null", "0", "1e3", '"2.5"']), _JSON_VALUE),
+    **{
+        key: _mostly(
+            st.integers(1, 3).map(str),
+            st.one_of(_JSON_SCALAR, _json_containers(_JSON_TREE), _JSON_DEEP),
+        )
+        for key in ("blocks", "sample", "inner", "outer")
+    },
+}
+_STAGE_ENTRY = _mostly(
+    st.one_of(*(
+        st.fixed_dictionaries(
+            {"kind": _STAGE_FIELD["kind"]},
+            optional={key: _STAGE_FIELD[key] for key in keys},
+        ).map(_json_object)
+        # The keys an ldsf, a sigma and an lll stage read, then all of them.
+        for keys in (
+            ("alpha", "target", "blocks", "inner", "outer"),
+            ("alpha", "target", "blocks", "sample", "inner", "outer"),
+            ("alpha",),
+            _STAGE_KEYS[1:],
+        )
+    )),
+    _JSON_VALUE,
+)
+
+
+@st.composite
+def _stage_file(draw) -> bytes:
+    """A stage file; one in five gets a byte sequence that is not UTF-8."""
+    text = draw(_mostly(st.lists(_STAGE_ENTRY, max_size=3).map(_json_list), _JSON_VALUE))
+    data = text.encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    bad = draw(st.sampled_from([b""] * 12 + [b"\xff", b"\xc3(", b"\xed\xa0\x80"]))
+    return data[:at] + bad + data[at:]
+
+
 _SMALL = st.sampled_from(["-1", "0", "1", "2", "3", "5", "x"])
 
 
@@ -539,18 +685,40 @@ class TestBoundaryFuzz:
     @settings(
         max_examples=300, deadline=timedelta(seconds=1), derandomize=True, database=None
     )
-    @given(data=st.data(), lat_text=_LAT_TEXT, stage_text=_STAGE_FILE)
-    def test_exit_codes_and_no_internal_error(self, data, lat_text, stage_text):
+    @given(data=st.data(), lat_text=_LAT_TEXT, stage_bytes=_stage_file())
+    def test_exit_codes_and_no_internal_error(self, data, lat_text, stage_bytes):
         with tempfile.TemporaryDirectory() as tmp:
             lat = os.path.join(tmp, "in.lat")
             stages = os.path.join(tmp, "stages.json")
             with open(lat, "w", encoding="utf-8") as fh:
                 fh.write(lat_text)
-            with open(stages, "w", encoding="utf-8") as fh:
-                fh.write(stage_text)
+            with open(stages, "wb") as fh:
+                fh.write(stage_bytes)
             argv = _fuzz_argv(data, lat, stages)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli_main(argv)
         assert code in (0, 1, 2), (argv, err.getvalue())
         assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+
+    @settings(
+        max_examples=200, deadline=timedelta(seconds=1), derandomize=True, database=None
+    )
+    @given(stage_bytes=_stage_file())
+    def test_stage_file_errors_name_the_stage(self, stage_bytes):
+        """With a good lattice and alpha, hybrid succeeds or exits 1 with a
+        message about the stage file or one of its stages."""
+        with tempfile.TemporaryDirectory() as tmp:
+            lat = os.path.join(tmp, "in.lat")
+            stages = os.path.join(tmp, "stages.json")
+            save_lattice(uniform_basis(6, -9, 9, seed=1), lat)
+            with open(stages, "wb") as fh:
+                fh.write(stage_bytes)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli_main(["hybrid", "--in", lat, "--stages", stages])
+        message = err.getvalue()
+        if code:
+            assert code == 1 and message.startswith("latforge hybrid: error: stage"), message
+        else:
+            assert message == ""

@@ -206,8 +206,19 @@ METRIC_CORPUS = [
 
 
 class TestLazyMetrics:
-    @pytest.mark.parametrize("carried", [False, True], ids=["computed", "carried"])
-    def test_values_match_eager_reference(self, carried):
+    @pytest.mark.parametrize(
+        "carried, warm",
+        [(False, False), (True, False), (False, True)],
+        ids=["computed", "carried", "warm-cache"],
+    )
+    def test_values_match_eager_reference(self, carried, warm):
+        # Cold: no logarithm is memoised yet.  Warm: every one is, so each
+        # log10_weight below is read from the memo.
+        core._log10.cache_clear()
+        if warm:
+            for b in METRIC_CORPUS:
+                metrics(b).log10_weight
+        misses = core._log10.cache_info().misses
         for b in METRIC_CORPUS:
             gram = _gram_det_bareiss(b) if carried else None
             expected = eager_metrics(b, gram)
@@ -216,6 +227,7 @@ class TestLazyMetrics:
             assert [getattr(metrics(b, gram), name) for name in REPORTED] == list(expected)
             m = metrics(b, gram)
             assert tuple(getattr(m, name) for name in reversed(REPORTED)) == expected[::-1]
+        assert (core._log10.cache_info().misses == misses) == warm
 
     def test_values_are_computed_once_on_first_read(self, monkeypatch):
         b = knapsack_basis(8, bits=60, seed=1)
