@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BoxTooLargeError, DependentRowsError
 
@@ -120,10 +120,6 @@ class Basis(Record):
         return max(abs(x) for row in self.rows for x in row)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> "Basis":
-        return cls(rows)
-
-    @classmethod
     def identity(cls, m: int) -> "Basis":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
 
@@ -202,6 +198,41 @@ def int_str(x: int) -> str:
     """``str(x)`` without Python's cap on int-to-str conversion (4,300 digits
     by default): Decimal renders an integer of any length exactly."""
     return str(Decimal(x))
+
+
+def _quoted(given: object) -> str:
+    """``given`` cut to 40 characters for an error message.  An int or
+    Fraction, also inside a list or dict, is rendered by ``int_str``: ``str``
+    fails past 4,300 digits.  Rendering stops at the cut, so a deep nesting
+    costs no more than a short one."""
+    text = ""
+    for piece in _pieces(given):
+        text += piece
+        if len(text) > 40:
+            return text[:37] + "..."
+    return text
+
+
+def _pieces(given: object):
+    if isinstance(given, list):
+        yield "["
+        for i, item in enumerate(given):
+            yield ", " if i else ""
+            yield from _pieces(item)
+        yield "]"
+    elif isinstance(given, dict):
+        yield "{"
+        for i, (key, value) in enumerate(given.items()):
+            yield ", " if i else ""
+            yield from _pieces(key)
+            yield ": "
+            yield from _pieces(value)
+        yield "}"
+    elif isinstance(given, (int, Fraction)) and not isinstance(given, bool):
+        q = Fraction(given)
+        yield int_str(q.numerator) + (f"/{int_str(q.denominator)}" if q.denominator > 1 else "")
+    else:
+        yield repr(given) if isinstance(given, str) else str(given)
 
 
 def metrics(b: Basis, gram: int | None = None) -> BasisMetrics:
@@ -371,7 +402,7 @@ def hnf(b: Basis) -> Basis:
             else sum(x * s[j] for x, s in zip(h, scaled)) // det
             for j in range(b.n)
         ])
-    return Basis.from_rows(out)
+    return Basis(out)
 
 
 def same_lattice(a: Basis, b: Basis) -> bool:
@@ -405,7 +436,7 @@ def svp_oracle(
     box = (2 * coeff_bound + 1) ** b.m
     if box > budget:
         raise BoxTooLargeError(
-            f"box of {int_str(box)} coefficient vectors exceeds budget {budget}"
+            f"box of {_quoted(box)} coefficient vectors exceeds budget {_quoted(budget)}"
         )
     d, lam = _integral_gso(b)
     m = b.m

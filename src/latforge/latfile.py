@@ -8,6 +8,7 @@ are free-form; anything else is a parse error with a line/column position.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 
 from .core import Basis, Record, gram_det, int_str
@@ -23,53 +24,9 @@ class LatticeFile(Record):
     gram: int
 
 
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            if self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def peek(self) -> str | None:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else None
-
-    def expect(self, char: str) -> None:
-        got = self.peek()
-        if got != char:
-            shown = "end of input" if got is None else repr(got)
-            raise self.error(f"expected {char!r}, found {shown}")
-        self.pos += 1
-        self.col += 1
-
-    def integer(self) -> int:
-        self.skip_space()
-        start = self.pos
-        start_col = self.col
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-            self.col += 1
-        digits = self.pos
-        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
-            self.pos += 1
-            self.col += 1
-        if self.pos == digits:
-            self.col = start_col
-            raise self.error("expected an integer")
-        # Through Decimal: int() of a string is capped at 4,300 digits.
-        return int(Decimal(self.text[start : self.pos]))
+# One token: a signed integer of ASCII digits, or any other non-space
+# character.  ``\S`` splits on exactly what ``str.isspace`` calls space.
+_TOKEN = re.compile(r"([+-]?[0-9]+)|\S")
 
 
 def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
@@ -83,44 +40,50 @@ def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"not valid UTF-8: {exc.reason}", 1, 1) from exc
-    scanner = _Scanner(text)
-    scanner.expect("[")
+
+    def error(message: str, at: int = len(text), found: bool = False) -> ParseError:
+        if found:  # the character there, not the whole token
+            message += f", found {text[at]!r}" if at < len(text) else ", found end of input"
+        return ParseError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
+
+    at = len(text) - len(text.lstrip())
+    if not text.startswith("[", at):
+        raise error("expected '['", at, found=True)
+    tokens = _TOKEN.finditer(text, at + 1)
     rows: list[list[int]] = []
-    while True:
-        nxt = scanner.peek()
-        if nxt == "[":
-            row_line, row_col = scanner.line, scanner.col
-            scanner.expect("[")
-            row: list[int] = []
-            while scanner.peek() != "]":
-                if scanner.peek() is None:
-                    raise scanner.error("row is not closed")
-                row.append(scanner.integer())
-            scanner.expect("]")
-            if not row:
-                raise scanner.error("row has no entries")
-            if rows and len(row) != len(rows[0]):
-                raise ParseError(
-                    f"row {len(rows) + 1} has {len(row)} entries, expected {len(rows[0])}",
-                    row_line,
-                    row_col,
-                )
-            rows.append(row)
-        elif nxt == "]":
-            scanner.expect("]")
+    for tok in tokens:
+        if tok[0] == "]":
             break
+        if tok[0] != "[":
+            raise error("expected a row or ']'", tok.start(), found=True)
+        row_at = tok.start()
+        row: list[int] = []
+        for tok in tokens:
+            if tok[0] == "]":
+                break
+            if tok[1] is None:
+                raise error("expected an integer", tok.start())
+            # Through Decimal: int() of a string is capped at 4,300 digits.
+            row.append(int(Decimal(tok[1])))
         else:
-            shown = "end of input" if nxt is None else repr(nxt)
-            raise scanner.error(f"expected a row or ']', found {shown}")
-    if scanner.peek() is not None:
-        raise scanner.error("trailing content after closing ']'")
+            raise error("row is not closed")
+        if not row:
+            raise error("row has no entries", tok.end())
+        if rows and len(row) != len(rows[0]):
+            width = len(rows[0])
+            raise error(f"row {len(rows) + 1} has {len(row)} entries, expected {width}", row_at)
+        rows.append(row)
+    else:
+        raise error("expected a row or ']'", found=True)
+    if (extra := next(tokens, None)) is not None:
+        raise error("trailing content after closing ']'", extra.start())
     if not rows:
         raise ParseError("no rows", 1, 1)
     if len(rows) > len(rows[0]):
         raise RankDeficientError(
             f"{len(rows)} rows in dimension {len(rows[0])} cannot be independent"
         )
-    basis = Basis.from_rows(rows)
+    basis = Basis(rows)
     gram = gram_det(basis)
     if not gram:
         raise RankDeficientError("rows are linearly dependent")

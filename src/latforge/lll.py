@@ -19,7 +19,7 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import add, sub
 
-from .core import Basis, Record, _gso_row, _integral_gso, int_str
+from .core import Basis, Record, _gso_row, _integral_gso, _quoted
 
 
 class LllParams(Record):
@@ -57,41 +57,6 @@ class LllParams(Record):
             raise ValueError(f"alpha is not an exact rational: {shown}") from exc
         if not Fraction(1, 4) < self.alpha < 1:
             raise out_of_range
-
-
-def _quoted(given: object) -> str:
-    """``given`` cut to 40 characters for an error message.  An int or
-    Fraction, also inside a list or dict, is rendered by ``int_str``: ``str``
-    fails past 4,300 digits.  Rendering stops at the cut, so a deep nesting
-    costs no more than a short one."""
-    text = ""
-    for piece in _pieces(given):
-        text += piece
-        if len(text) > 40:
-            return text[:37] + "..."
-    return text
-
-
-def _pieces(given: object):
-    if isinstance(given, list):
-        yield "["
-        for i, item in enumerate(given):
-            yield ", " if i else ""
-            yield from _pieces(item)
-        yield "]"
-    elif isinstance(given, dict):
-        yield "{"
-        for i, (key, value) in enumerate(given.items()):
-            yield ", " if i else ""
-            yield from _pieces(key)
-            yield ": "
-            yield from _pieces(value)
-        yield "}"
-    elif isinstance(given, (int, Fraction)) and not isinstance(given, bool):
-        q = Fraction(given)
-        yield int_str(q.numerator) + (f"/{int_str(q.denominator)}" if q.denominator > 1 else "")
-    else:
-        yield repr(given) if isinstance(given, str) else str(given)
 
 
 DEFAULT_PARAMS = LllParams(Fraction(3, 4))
@@ -159,7 +124,7 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
                 if 2 * abs(x) > dl:
                     reduce_by(k, l, x, dl)
             k += 1
-    return Basis.from_rows(rows)
+    return Basis(rows)
 
 
 def is_lll_reduced(b: Basis, params: LllParams = DEFAULT_PARAMS) -> bool:

@@ -12,10 +12,10 @@ import json
 import time
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, Record, gram_det, metrics, reduction_key
+from .core import Basis, BasisMetrics, Record, _quoted, gram_det, metrics, reduction_key
 from .errors import BadStageParamsError, StageInfeasibleError
 from .ldsf import LdsfConfig, LdsfTrace, ldsf_run, sigma_candidates
-from .lll import LllParams, _quoted, lll_reduce
+from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
 
 KIND_LDSF = "ldsf"

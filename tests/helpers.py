@@ -27,6 +27,12 @@ reference determinant, as the reference for the lazy ``BasisMetrics``.
 Python call per size-reduction test and a comprehension per row update,
 with its own copy of the GSO row step.  It makes the same decisions as
 ``lll_reduce`` by construction, so the two must return equal rows.
+
+``parse_lattice_reference`` is the character-by-character reader of the
+lattice format that ``parse_lattice`` replaced with one token regex: it
+walks the text one Python call per character, tracking line and column as
+it goes.  The two must agree on every text, in rows and ``gram`` or in the
+error raised and its position.
 """
 
 from __future__ import annotations
@@ -38,7 +44,17 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
-from latforge import Basis, BasisMetrics, DependentRowsError, LllParams, metrics
+from latforge import (
+    Basis,
+    BasisMetrics,
+    DependentRowsError,
+    LatticeFile,
+    LllParams,
+    ParseError,
+    RankDeficientError,
+    gram_det,
+    metrics,
+)
 from latforge.lll import DEFAULT_PARAMS
 
 # 50 significant digits, the precision the library promises for its reals.
@@ -344,4 +360,104 @@ def lll_reduce_reference(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    return Basis.from_rows(rows)
+    return Basis(rows)
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.line, self.col)
+
+    def skip_space(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            if self.text[self.pos] == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+            self.pos += 1
+
+    def peek(self) -> str | None:
+        self.skip_space()
+        return self.text[self.pos] if self.pos < len(self.text) else None
+
+    def expect(self, char: str) -> None:
+        got = self.peek()
+        if got != char:
+            shown = "end of input" if got is None else repr(got)
+            raise self.error(f"expected {char!r}, found {shown}")
+        self.pos += 1
+        self.col += 1
+
+    def integer(self) -> int:
+        self.skip_space()
+        start = self.pos
+        start_col = self.col
+        if self.pos < len(self.text) and self.text[self.pos] in "+-":
+            self.pos += 1
+            self.col += 1
+        digits = self.pos
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
+            self.pos += 1
+            self.col += 1
+        if self.pos == digits:
+            self.col = start_col
+            raise self.error("expected an integer")
+        return int(Decimal(self.text[start : self.pos]))
+
+
+def parse_lattice_reference(text: str | bytes, source: str = "<memory>") -> LatticeFile:
+    """The lattice-format reader before the token regex, a scanner method
+    call per character: the reference for ``parse_lattice``."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not valid UTF-8: {exc.reason}", 1, 1) from exc
+    scanner = _Scanner(text)
+    scanner.expect("[")
+    rows: list[list[int]] = []
+    while True:
+        nxt = scanner.peek()
+        if nxt == "[":
+            row_line, row_col = scanner.line, scanner.col
+            scanner.expect("[")
+            row: list[int] = []
+            while scanner.peek() != "]":
+                if scanner.peek() is None:
+                    raise scanner.error("row is not closed")
+                row.append(scanner.integer())
+            scanner.expect("]")
+            if not row:
+                raise scanner.error("row has no entries")
+            if rows and len(row) != len(rows[0]):
+                raise ParseError(
+                    f"row {len(rows) + 1} has {len(row)} entries, expected {len(rows[0])}",
+                    row_line,
+                    row_col,
+                )
+            rows.append(row)
+        elif nxt == "]":
+            scanner.expect("]")
+            break
+        else:
+            shown = "end of input" if nxt is None else repr(nxt)
+            raise scanner.error(f"expected a row or ']', found {shown}")
+    if scanner.peek() is not None:
+        raise scanner.error("trailing content after closing ']'")
+    if not rows:
+        raise ParseError("no rows", 1, 1)
+    if len(rows) > len(rows[0]):
+        raise RankDeficientError(
+            f"{len(rows)} rows in dimension {len(rows[0])} cannot be independent"
+        )
+    basis = Basis(rows)
+    gram = gram_det(basis)
+    if not gram:
+        raise RankDeficientError("rows are linearly dependent")
+    return LatticeFile(basis=basis, source=source, gram=gram)

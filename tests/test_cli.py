@@ -3,10 +3,12 @@ import ast
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 from datetime import timedelta
 from pathlib import Path
@@ -453,6 +455,15 @@ class TestOracle:
         assert "computation failed: box of 255999" in err
         assert "coefficient vectors exceeds budget 10000000" in err
 
+    def test_box_size_is_quoted_in_40_characters(self, rank8, capsys):
+        # The box (2 * (10**4000 - 1) + 1)**8 has 32,003 digits; the message
+        # quotes it cut to 40 characters, as every other quoted number.
+        assert cli_main(["oracle", "--bound", "9" * 4000, "--in", rank8]) == 2
+        err = capsys.readouterr().err
+        assert "computation failed: box of 255999" in err
+        assert "... coefficient vectors exceeds budget 10000000" in err
+        assert len(err) < 200, len(err)
+
 
 class TestOptions:
     @pytest.mark.parametrize(
@@ -681,12 +692,71 @@ def _fuzz_argv(data, lat: str, stages: str) -> list[str]:
     return argv
 
 
+def _run_cli(argv: list[str]) -> tuple[int, str]:
+    """``cli_main(argv)`` with its output captured: (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    return code, err.getvalue()
+
+
+class _Worker:
+    """One long-lived forked process that runs one call at a time.
+
+    Hypothesis checks its deadline only after an example returns, so an
+    input whose cost follows its value would hang the run.  Here a call
+    still running after ``timeout`` seconds fails the test with its
+    arguments, the process is killed, and the next call forks a fresh one.
+    ``fork`` needs no re-import, and the pool forks before it starts its
+    own threads.
+    """
+
+    def __init__(self, timeout: float):
+        self.timeout = timeout
+        self.pool = None
+
+    def call(self, fn, *args):
+        if self.pool is None:
+            self.pool = multiprocessing.get_context("fork").Pool(1)
+        try:
+            return self.pool.apply_async(fn, args).get(self.timeout)
+        except multiprocessing.TimeoutError:
+            self.close()
+            pytest.fail(f"no result after {self.timeout} s: {fn.__name__}{args}")
+
+    def close(self) -> None:
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+            self.pool = None
+
+
+@pytest.fixture(scope="module")
+def worker():
+    shared = _Worker(timeout=5)
+    yield shared
+    shared.close()
+
+
+class TestWorker:
+    def test_slow_call_fails_within_twice_the_timeout(self):
+        slow = _Worker(timeout=1)
+        try:
+            start = time.monotonic()
+            with pytest.raises(pytest.fail.Exception, match=r"after 1 s: sleep\(60,\)"):
+                slow.call(time.sleep, 60)
+            assert time.monotonic() - start < 2
+            assert slow.call(abs, -3) == 3  # the next call gets a fresh process
+        finally:
+            slow.close()
+
+
 class TestBoundaryFuzz:
     @settings(
         max_examples=300, deadline=timedelta(seconds=1), derandomize=True, database=None
     )
     @given(data=st.data(), lat_text=_LAT_TEXT, stage_bytes=_stage_file())
-    def test_exit_codes_and_no_internal_error(self, data, lat_text, stage_bytes):
+    def test_exit_codes_and_no_internal_error(self, worker, data, lat_text, stage_bytes):
         with tempfile.TemporaryDirectory() as tmp:
             lat = os.path.join(tmp, "in.lat")
             stages = os.path.join(tmp, "stages.json")
@@ -695,17 +765,15 @@ class TestBoundaryFuzz:
             with open(stages, "wb") as fh:
                 fh.write(stage_bytes)
             argv = _fuzz_argv(data, lat, stages)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli_main(argv)
-        assert code in (0, 1, 2), (argv, err.getvalue())
-        assert "internal error" not in err.getvalue(), (argv, err.getvalue())
+            code, err = worker.call(_run_cli, argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert "internal error" not in err, (argv, err)
 
     @settings(
         max_examples=200, deadline=timedelta(seconds=1), derandomize=True, database=None
     )
     @given(stage_bytes=_stage_file())
-    def test_stage_file_errors_name_the_stage(self, stage_bytes):
+    def test_stage_file_errors_name_the_stage(self, worker, stage_bytes):
         """With a good lattice and alpha, hybrid succeeds or exits 1 with a
         message about the stage file or one of its stages."""
         with tempfile.TemporaryDirectory() as tmp:
@@ -714,10 +782,7 @@ class TestBoundaryFuzz:
             save_lattice(uniform_basis(6, -9, 9, seed=1), lat)
             with open(stages, "wb") as fh:
                 fh.write(stage_bytes)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli_main(["hybrid", "--in", lat, "--stages", stages])
-        message = err.getvalue()
+            code, message = worker.call(_run_cli, ["hybrid", "--in", lat, "--stages", stages])
         if code:
             assert code == 1 and message.startswith("latforge hybrid: error: stage"), message
         else:

@@ -195,7 +195,7 @@ class TestMetrics:
         rows = [list(r) for r in b.rows]
         rows[2] = [x - 7 * y for x, y in zip(rows[2], rows[0])]
         rows[0], rows[4] = rows[4], rows[0]
-        assert metrics(Basis.from_rows(rows)).det_lattice == metrics(b).det_lattice
+        assert metrics(Basis(rows)).det_lattice == metrics(b).det_lattice
 
 
 REPORTED = ("shortest", "longest", "log10_weight", "det_lattice")
@@ -249,7 +249,7 @@ class TestLazyMetrics:
         assert hash(metrics(b)) == hash(metrics(b, gram))
         rows = [list(r) for r in b.rows]
         rows[2] = [x - 7 * y for x, y in zip(rows[2], rows[0])]
-        other = Basis.from_rows(rows)  # same lattice and determinant, other norms
+        other = Basis(rows)  # same lattice and determinant, other norms
         assert metrics(other, gram) != metrics(b)
         assert metrics(other) != metrics(b, gram)
         assert metrics(b, 4 * gram) != metrics(b)
@@ -319,7 +319,7 @@ class TestHnf:
         rows[0] = [x + 3 * y for x, y in zip(rows[0], rows[2])]
         rows[3], rows[4] = rows[4], rows[3]
         rows[1] = [-x for x in rows[1]]
-        other = Basis.from_rows(rows)
+        other = Basis(rows)
         assert hnf(other) == hnf(b)
         assert same_lattice(other, b)
         assert same_lattice_oracle(other, b)
@@ -334,7 +334,7 @@ class TestHnf:
         while checked < 40:
             m = rng.randint(6, 9)
             rows = [[rng.randint(-99, 99) for _ in range(m)] for _ in range(m)]
-            b = Basis.from_rows(rows)
+            b = Basis(rows)
             if gram_det(b) == 0:
                 continue
             checked += 1
@@ -350,7 +350,7 @@ class TestHnf:
             for row in rows:
                 row[0] = 0
                 row[2] = 2 * row[1] - row[3]
-            b = Basis.from_rows(rows)
+            b = Basis(rows)
             if gram_det(b) == 0:
                 continue
             checked += 1
