@@ -204,13 +204,25 @@ def _quoted(given: object) -> str:
     """``given`` cut to 40 characters for an error message.  An int or
     Fraction, also inside a list or dict, is rendered by ``int_str``: ``str``
     fails past 4,300 digits.  Rendering stops at the cut, so a deep nesting
-    costs no more than a short one."""
+    costs no more than a short one, and a long number no more than its
+    leading digits."""
     text = ""
     for piece in _pieces(given):
         text += piece
         if len(text) > 40:
             return text[:37] + "..."
     return text
+
+
+def _leading(x: int) -> str:
+    """``int_str(x)``, or its first 41 characters or more when longer: only
+    40 are quoted, and rendering every digit takes time quadratic in their
+    number.  |x| has at least k + 41 digits, from its bit length and
+    0.30102 < log10(2), so |x| // 10**k keeps 41 or more leading digits."""
+    k = (abs(x).bit_length() - 1) * 30102 // 100000 - 40
+    if k < 1:
+        return int_str(x)
+    return ("-" if x < 0 else "") + int_str(abs(x) // 10**k)
 
 
 def _pieces(given: object):
@@ -230,7 +242,7 @@ def _pieces(given: object):
         yield "}"
     elif isinstance(given, (int, Fraction)) and not isinstance(given, bool):
         q = Fraction(given)
-        yield int_str(q.numerator) + (f"/{int_str(q.denominator)}" if q.denominator > 1 else "")
+        yield _leading(q.numerator) + (f"/{_leading(q.denominator)}" if q.denominator > 1 else "")
     else:
         yield repr(given) if isinstance(given, str) else str(given)
 
@@ -284,9 +296,22 @@ def _integral_gso(b: Basis) -> tuple[list[int], list[list[int]]]:
 
 
 def gram_det(b: Basis) -> int:
-    """det(B.B^T) exactly, as d[m] of the integral GSO; 0 iff rows are dependent."""
+    """det(B.B^T) exactly; 0 iff rows are dependent.
+
+    With at most one more column than rows (square and knapsack bases) it
+    is the Cauchy-Binet sum of the squared maximal minors, read off the
+    echelon of B itself: det(B_P)^2, plus for a non-pivot column c the
+    squares of column c of d * B_P^-1 * B, each +-the minor with one pivot
+    column swapped for c (Cramer).  On a knapsack basis those minors are 1
+    and the weights, where the integral GSO of B.B^T carries minors twice
+    as long.  Wider bases take d[m] of the integral GSO.
+    """
     try:
-        return _integral_gso(b)[0][-1]
+        if b.n - b.m > 1:
+            return _integral_gso(b)[0][-1]
+        pivots, det, scaled = _reduced_echelon(b)
+        extra = [c for c in range(b.n) if c not in pivots]
+        return det * det + sum(row[c] * row[c] for row in scaled for c in extra)
     except DependentRowsError:
         return 0
 
@@ -316,6 +341,7 @@ def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
     Returns the pivot columns P (each the first column independent of those
     before it, so a property of the row space), d = +-det(B_P), and rows
     whose non-pivot columns hold d * B_P^-1 * B.  Divisions are exact.
+    ``hnf`` and ``gram_det`` both read it.
     """
     work = [list(r) for r in b.rows]
     m, n = b.m, b.n
@@ -390,7 +416,9 @@ def hnf(b: Basis) -> Basis:
 
     The pivot columns P of the form are those of ``b``.  The square minor
     B_P gets its HNF H_P modulo its determinant, and the whole form is
-    H_P * B_P^-1 * B, which is H_P on P and exact integers elsewhere.
+    H_P * B_P^-1 * B, which is H_P on P and exact integers elsewhere.  The
+    echelon that gives P, B_P and B_P^-1 * B also gives ``gram_det`` its
+    minors.
     """
     pivots, det, scaled = _reduced_echelon(b)
     square = _hnf_square([[row[c] for c in pivots] for row in b.rows], abs(det))

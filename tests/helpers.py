@@ -7,7 +7,9 @@ can be validated through a second route.
 ``_hnf_echelon`` (plain xgcd row elimination) and ``_enumerate_box_python``
 (a scan of every vector in the coefficient box) share no algorithm with
 ``hnf`` (modulo-determinant HNF) and ``svp_oracle`` (pruned Schnorr-Euchner
-search), and serve as their references.
+search), and serve as their references.  ``echelon_reference`` (Gauss-Jordan
+over Fractions) checks the fraction-free echelon that ``hnf`` and
+``gram_det`` share.
 
 ``gso`` is the rational Gram-Schmidt orthogonalization (b*_i, mu_ij and
 ||b*_i||^2 as Fractions, each row projected on the b*_j above it).  It and
@@ -274,6 +276,33 @@ def _hnf_echelon(rows: list[list[int]]) -> list[list[int]]:
     if r < m:
         raise DependentRowsError("rows span a lattice of lower rank")
     return rows
+
+
+def echelon_reference(b: Basis) -> tuple[list[int], Fraction, list[list[Fraction]]]:
+    """Reduced row echelon form of B over the rationals: the pivot columns P
+    (fewer than m when the rows are dependent), det(B_P) as the signed
+    product of the pivots met, and the rows of the form, which for
+    independent rows are B_P^-1 * B."""
+    rows = [[Fraction(x) for x in row] for row in b.rows]
+    pivots: list[int] = []
+    det = Fraction(1)
+    for c in range(b.n):
+        r = len(pivots)
+        k = next((i for i in range(r, b.m) if rows[i][c]), None)
+        if k is None:
+            continue
+        if k != r:
+            rows[r], rows[k] = rows[k], rows[r]
+            det = -det
+        pivot = rows[r][c]
+        det *= pivot
+        rows[r] = [x / pivot for x in rows[r]]
+        for i in range(b.m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots, det, rows
 
 
 def _enumerate_box_python(b: Basis, bound: int) -> tuple[tuple[int, ...], int]:

@@ -6,6 +6,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latforge import (
     Basis,
@@ -26,6 +28,7 @@ from latforge import (
     uniform_basis,
 )
 from latforge import core
+from latforge.core import int_str
 from latforge.parallel import derive_rng
 
 from helpers import (
@@ -34,10 +37,41 @@ from helpers import (
     _hnf_echelon,
     counting,
     eager_metrics,
+    echelon_reference,
     gso,
     lattice_contains,
     same_lattice_oracle,
 )
+
+
+@st.composite
+def _matrices(draw, wide: int):
+    """m x n integer matrices, 1 <= m <= 6 and m <= n <= m + ``wide``, small
+    or occasionally long entries of either sign.  m columns are drawn fresh
+    and the others, in any position, are zero, a copy of an earlier column
+    or the sum of two earlier ones, so pivots need not be the leading
+    columns; one time in five the last row is the sum of two rows above
+    it, so the rows are dependent."""
+    m = draw(st.integers(1, 6))
+    derived = st.sampled_from(["zero", "copy", "sum"])
+    kinds = ["fresh"] * m + [draw(derived) for _ in range(draw(st.integers(0, wide)))]
+    entry = st.one_of(st.integers(-9, 9), st.integers(-(10**40), 10**40))
+    cols: list[list[int]] = []
+    for kind in draw(st.permutations(kinds)):
+        if kind == "fresh":
+            cols.append([draw(entry) for _ in range(m)])
+        elif kind == "zero" or not cols:
+            cols.append([0] * m)
+        elif kind == "copy":
+            cols.append(list(draw(st.sampled_from(cols))))
+        else:
+            a, b = draw(st.sampled_from(cols)), draw(st.sampled_from(cols))
+            cols.append([x + y for x, y in zip(a, b)])
+    rows = [list(row) for row in zip(*cols)]
+    if m > 1 and draw(st.integers(0, 4)) == 0:
+        i, j = draw(st.integers(0, m - 2)), draw(st.integers(0, m - 2))
+        rows[m - 1] = [x + y for x, y in zip(rows[i], rows[j])]
+    return tuple(map(tuple, rows))
 
 
 class TestRecord:
@@ -296,6 +330,58 @@ class TestGramDet:
         b = Basis(rows)
         assert gram_det(b) == 0 == _gram_det_bareiss(b)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=_matrices(wide=3))
+    @example(rows=((1, 0, 7 * (10**4400 // 9)), (0, 1, -(10**4310 // 3))))  # 4,400 and 4,310 digits
+    @example(rows=((3, -1, 4), (6, -2, 8)))
+    @example(rows=((0, 2, 4, 1, 3), (0, 1, 2, 5, 7)))
+    def test_matches_reference_on_every_route(self, rows):
+        # n - m <= 1 sums the squared maximal minors of B, a wider basis
+        # takes the integral GSO; both must give the reference determinant.
+        b = Basis(rows)
+        assert gram_det(b) == _gram_det_bareiss(b)
+
+    @pytest.mark.parametrize(
+        "b,gso_calls",
+        [
+            (knapsack_basis(30, 1000), 0),
+            (uniform_basis(8), 0),
+            (Basis(uniform_basis(8).rows[:3]), 1),
+        ],
+        ids=["knapsack30x1000", "uniform8", "3x8"],
+    )
+    def test_route_by_shape(self, b, gso_calls, monkeypatch):
+        calls = Counter()
+        gso_kernel = counting(calls, "_integral_gso", core._integral_gso)
+        monkeypatch.setattr(core, "_integral_gso", gso_kernel)
+        assert gram_det(b) == _gram_det_bareiss(b)
+        assert calls["_integral_gso"] == gso_calls
+
+
+class TestReducedEchelon:
+    """The fraction-free echelon behind ``hnf`` and ``gram_det`` against
+    Gauss-Jordan over Fractions: the first independent columns are the
+    pivots P, |d| = |det B_P|, and the non-pivot columns hold d * B_P^-1 * B."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=_matrices(wide=4))
+    @example(rows=((0, 2, 4, 1, 3), (0, 1, 2, 5, 7)))
+    @example(rows=((0, 0, 3, 3, 6, 1), (0, 0, 5, 5, 1, 9), (0, 0, 7, 7, 2, 8)))
+    @example(rows=((1, 2, 3), (2, 4, 6)))
+    def test_matches_fraction_reference(self, rows):
+        b = Basis(rows)
+        pivots, det, form = echelon_reference(b)
+        if len(pivots) < b.m:
+            with pytest.raises(DependentRowsError):
+                core._reduced_echelon(b)
+            return
+        got, d, scaled = core._reduced_echelon(b)
+        assert got == pivots
+        assert abs(d) == abs(det)
+        extra = [c for c in range(b.n) if c not in pivots]
+        for row, want in zip(scaled, form):
+            assert [row[c] for c in extra] == [d * want[c] for c in extra]
+
 
 class TestHnf:
     def test_identity(self):
@@ -461,3 +547,65 @@ class TestSvpOracle:
             )
         )
         assert res.lambda1 * res.lambda1 == best
+
+
+def _full_text(given) -> str:
+    """What ``_quoted`` cuts: every digit of every number rendered."""
+    if isinstance(given, list):
+        return "[" + ", ".join(map(_full_text, given)) + "]"
+    if isinstance(given, dict):
+        return "{" + ", ".join(f"{_full_text(k)}: {_full_text(v)}" for k, v in given.items()) + "}"
+    if isinstance(given, str):
+        return repr(given)
+    q = Fraction(given)
+    return int_str(q.numerator) + (f"/{int_str(q.denominator)}" if q.denominator > 1 else "")
+
+
+def _cut(text: str) -> str:
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+class TestQuoted:
+    """``_quoted`` renders only the leading digits of a long number, and its
+    text is the whole rendering cut to 40 characters."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_ints_around_the_cut(self, sign):
+        for digits in range(30, 60):
+            for x in (10 ** (digits - 1), 10**digits - 1, 7 * 10**digits // 9):
+                assert core._quoted(sign * x) == _cut(int_str(sign * x))
+        for bits in range(100, 260):
+            for x in (1 << (bits - 1), (1 << bits) - 1):
+                assert core._quoted(sign * x) == _cut(int_str(sign * x))
+
+    @pytest.mark.parametrize(
+        "given",
+        [
+            10**5000 + 12345,
+            -(10**4999) - 1,
+            Fraction(10**5000 + 7, 3),
+            Fraction(-1, 10**5000 + 1),
+            Fraction(123456789, 10**41 + 9),
+            [1, 2, 10**5000],
+            [12345678901234567890123456789012345, -(10**100)],
+            {"a": [Fraction(5, 10**4400 + 3)]},
+            {10**4400: 1},
+        ],
+        ids=[
+            "int", "negative-int", "long-numerator", "long-denominator",
+            "denominator-past-cut", "in-list", "after-a-prefix", "in-dict", "dict-key",
+        ],
+    )
+    def test_long_values_cut_as_full_text(self, given):
+        assert len(_full_text(given)) > 40
+        assert core._quoted(given) == _cut(_full_text(given))
+
+    def test_box_message(self):
+        # The box (2 * (10**4000 - 1) + 1)**20 has 80,007 digits.
+        bound = 10**4000 - 1
+        with pytest.raises(BoxTooLargeError) as err:
+            svp_oracle(knapsack_basis(20, 60), bound)
+        box = int_str((2 * bound + 1) ** 20)
+        assert str(err.value) == (
+            f"box of {box[:37]}... coefficient vectors exceeds budget 10000000"
+        )
