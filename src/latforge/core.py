@@ -357,8 +357,10 @@ def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
         piv_row, piv = work[r], work[r][c]
         cols = [j for j in range(n) if j not in pivots]
         for row in work:
-            if row is not piv_row:
-                f = row[c]
+            f = row[c]
+            # With f = 0 and piv = prev the update leaves the row as it is:
+            # the identity block of a knapsack basis, at every pivot.
+            if row is not piv_row and (f or piv != prev):
                 for j in cols:
                     row[j] = (piv * row[j] - f * piv_row[j]) // prev
         prev = piv
@@ -374,9 +376,13 @@ def _hnf_square(rows: list[list[int]], det: int) -> list[list[int]]:
     Cohen's Algorithm 2.4.8 (Domich-Kannan-Trotter): column p is cleared
     below its pivot by xgcd row operations taken modulo R, where R starts
     at det and is divided by each pivot found, so R * Z^(m-p) stays inside
-    the lattice of what is left and no entry ever exceeds det.  Cohen's
-    column-style upper-triangular form is ours rotated by 180 degrees; the
-    indices here are already rotated.
+    the lattice of what is left.  An xgcd of (1, 0) leaves the pivot row as
+    it is modulo R, so it is not rebuilt.  Finished rows are reduced modulo
+    det right of the current pivot p: det * e_j for j > p lies in the
+    lattice of the rows still to come, so the final form is the same and no
+    entry exceeds det.  Left of it a finished row holds its final entries,
+    and a pivot can equal det.  Cohen's column-style upper-triangular form
+    is ours rotated by 180 degrees; the indices here are already rotated.
     """
     m = len(rows)
     if det == 1:
@@ -391,16 +397,16 @@ def _hnf_square(rows: list[list[int]], det: int) -> list[list[int]]:
                 continue
             x, y, g = _xgcd(piv_row[p], other[p])
             s, t = piv_row[p] // g, other[p] // g
-            piv_row, rows[r] = (
-                [(x * a + y * c) % R for a, c in zip(piv_row, other)],
-                [(s * c - t * a) % R for a, c in zip(piv_row, other)],
-            )
+            rows[r] = [(s * c - t * a) % R for a, c in zip(piv_row, other)]
+            if (x, y) != (1, 0):
+                piv_row = [(x * a + y * c) % R for a, c in zip(piv_row, other)]
         u, _, d = _xgcd(piv_row[p], R)
         row = [u * a % R for a in piv_row]
         row[p] = d
         for above in out:
             q = above[p] // d
-            above[:] = [a - q * c for a, c in zip(above, row)]
+            above[p] -= q * d
+            above[p + 1:] = [(a - q * c) % det for a, c in zip(above[p + 1:], row[p + 1:])]
         out.append(row)
         R //= d
     return out

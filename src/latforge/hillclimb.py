@@ -100,6 +100,7 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
             raise DegreeMismatchError(
                 f"PSL(2,{kind.prime}) acts on {kind.prime + 1} points, basis rank is {m}"
             )
+        perm.check_prime(kind.prime)
         return lambda step: perm.psl2_permutations(
             kind.prime, cfg.sample_size, derive_rng(cfg.seed, "hc", step)
         )

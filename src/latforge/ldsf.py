@@ -20,7 +20,7 @@ from .core import Basis, BasisMetrics, Record, gram_det, metrics, _sqrt
 from .errors import BadBlockingError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
-from .perm import Permutation, apply, sample_right
+from .perm import Permutation, apply, check_right_degree, sample_right
 
 
 class LdsfConfig(Record):
@@ -114,7 +114,10 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
     shortest vector meets ``target_bound``.  All randomness is derived from
     (seed, outer, inner), so traces replay identically.
     Fused bases span the lattice of ``b``: ``gram`` as in ``metrics``.
+    The fusing permutation is a right one, so a rank below 3 raises
+    DegreeTooSmallError before any reduction.
     """
+    check_right_degree(b.m)
     started = time.perf_counter()
     gram = gram_det(b) if gram is None else gram
     m = b.m

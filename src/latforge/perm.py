@@ -126,27 +126,23 @@ def sample_at_radius(m: int, r: int, rng: random.Random) -> Permutation:
     return Permutation(tuple(images))
 
 
-def sample_right(m: int, rng: random.Random) -> Permutation:
-    """Uniform radius in (m/2, m], then a uniform permutation at that radius."""
+def check_right_degree(m: int) -> None:
+    """DegreeTooSmallError unless right sampling takes degree m (m >= 3)."""
     if m < 3:
         raise DegreeTooSmallError(f"right sampling needs degree >= 3, got {m}")
+
+
+def sample_right(m: int, rng: random.Random) -> Permutation:
+    """Uniform radius in (m/2, m], then a uniform permutation at that radius."""
+    check_right_degree(m)
     r = rng.randint(m // 2 + 1, m)
     return sample_at_radius(m, r, rng)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+def check_prime(p: int) -> None:
+    """NotPrimeError unless p is prime, as PSL(2,p) sampling needs."""
+    if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+        raise NotPrimeError(f"{p} is not prime")
 
 
 def _moebius_permutation(a: int, b: int, c: int, d: int, p: int) -> Permutation:
@@ -179,8 +175,7 @@ def psl2_permutations(p: int, count: int, rng: random.Random) -> list[Permutatio
     group element corresponds to the same number of such matrices, so the
     induced distribution is uniform.
     """
-    if not _is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+    check_prime(p)
     out = []
     while len(out) < count:
         a, b, c, d = (rng.randrange(p) for _ in range(4))

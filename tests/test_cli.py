@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latforge
-from latforge import Basis, bench, cli, core, hillclimb, lll_reduce, uniform_basis
+from latforge import Basis, bench, cli, core, hillclimb, ldsf, lll_reduce, uniform_basis
 from latforge.cli import cli_main
 from latforge.latfile import load_lattice, save_lattice
 from latforge.lll import LllParams
@@ -118,6 +118,18 @@ class TestHc:
         moved = [sum(img != i for i, img in enumerate(s["permutation"], 1)) for s in steps]
         assert moved == [0, 2, 4]
 
+    def test_psl2_prime_checked_up_front(self, tmp_path, capsys, monkeypatch):
+        # uniform(5) already meets the default target after its first
+        # reduction, so a walk that checks the prime only when it samples
+        # takes no step and exits 0.
+        lat = tmp_path / "u5.lat"
+        save_lattice(uniform_basis(5, -99, 99, seed=1), str(lat))
+        calls = Counter()
+        monkeypatch.setattr(hillclimb, "lll_reduce", counting(calls, "lll", lll_reduce))
+        assert cli_main(["hc", "--psl2", "4", "--in", str(lat)]) == 1
+        assert "4 is not prime" in capsys.readouterr().err
+        assert calls["lll"] == 0
+
     def test_report_byte_identical(self, rank8, tmp_path):
         r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
         for path in (r1, r2):
@@ -151,6 +163,15 @@ class TestLdsf:
         assert code == 0
         payload = json.loads(report.read_text())
         assert len(payload["rounds"]) == 2
+
+    def test_rank_checked_before_any_reduction(self, tmp_path, capsys, monkeypatch):
+        lat = tmp_path / "u2.lat"
+        save_lattice(uniform_basis(2, -99, 99, seed=1), str(lat))
+        calls = Counter()
+        monkeypatch.setattr(ldsf, "lll_reduce", counting(calls, "lll", lll_reduce))
+        assert cli_main(["ldsf", "--blocks", "1", "--in", str(lat)]) == 1
+        assert "right sampling needs degree >= 3, got 2" in capsys.readouterr().err
+        assert calls["lll"] == 0
 
 
 class TestHybrid:

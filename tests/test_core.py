@@ -369,7 +369,19 @@ class TestReducedEchelon:
     @example(rows=((0, 0, 3, 3, 6, 1), (0, 0, 5, 5, 1, 9), (0, 0, 7, 7, 2, 8)))
     @example(rows=((1, 2, 3), (2, 4, 6)))
     def test_matches_fraction_reference(self, rows):
-        b = Basis(rows)
+        self.check(Basis(rows))
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_knapsack_matches_fraction_reference(self, m):
+        # The identity block keeps every pivot at 1, so most rows are left
+        # as they are; the LLL-reduced basis has no such block.
+        for bits in (8, 60):
+            b = knapsack_basis(m, bits, seed=m)
+            self.check(b)
+            self.check(lll_reduce(b))
+
+    @staticmethod
+    def check(b):
         pivots, det, form = echelon_reference(b)
         if len(pivots) < b.m:
             with pytest.raises(DependentRowsError):
@@ -411,10 +423,7 @@ class TestHnf:
         assert same_lattice_oracle(other, b)
 
     def test_fast_path_matches_echelon(self):
-        def agree(b):
-            want = _hnf_echelon([list(r) for r in b.rows])
-            assert hnf(b).rows == tuple(tuple(r) for r in want)
-
+        agree = self.agree
         rng = derive_rng("hnf-agree")
         checked = 0
         while checked < 40:
@@ -443,6 +452,43 @@ class TestHnf:
             agree(b)
         for m in range(2, 13):
             agree(lll_reduce(knapsack_basis(m, 60, seed=m)))
+
+    @staticmethod
+    def agree(b):
+        want = _hnf_echelon([list(r) for r in b.rows])
+        assert hnf(b).rows == tuple(tuple(r) for r in want)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_dense_matches_reference(self, m):
+        for seed in range(3):
+            self.agree(uniform_basis(m, -999, 999, seed=seed))
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_column_scaled_matches_reference(self, m):
+        # Scaled columns give pivots above 1 in several columns, so finished
+        # rows are reduced while later pivots are still to come.
+        rng = derive_rng("hnf-scaled", m)
+        for seed in range(4):
+            scale = [rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(m)]
+            b = uniform_basis(m, -9, 9, seed=seed)
+            b = Basis([[x * c for x, c in zip(row, scale)] for row in b.rows])
+            self.agree(b)
+            assert max(row[i] for i, row in enumerate(hnf(b).rows)) > 1
+
+    def test_pivot_equal_to_det(self):
+        # det = 8 and the first pivot is 8: reduced modulo det it would be 0.
+        b = Basis(((8, -7), (8, -6)))
+        assert hnf(b).rows == ((8, 0), (0, 1))
+        self.agree(b)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_negative_first_row_matches_reference(self, m):
+        for seed in range(4):
+            rows = [list(r) for r in uniform_basis(m, -99, 99, seed=seed).rows]
+            rows[0] = [-abs(x) or -1 for x in rows[0]]
+            b = Basis(rows)
+            if gram_det(b):
+                self.agree(b)
 
     def test_detects_dependence(self):
         with pytest.raises(DependentRowsError):

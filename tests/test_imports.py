@@ -10,7 +10,9 @@ a latforge module: an oracle that borrows a primitive shares its faults.
 
 Start-up is part of every run, so the library does not import
 ``dataclasses``: it loads ``inspect`` and builds each frozen record by
-``exec``.  Both guards below keep it out.
+``exec``.  Both guards below keep it out.  For the same reason the package
+is a lazy namespace: naming ``core`` and ``lll`` loads those two and what
+they import, not the search layers.
 """
 
 import ast
@@ -20,6 +22,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import latforge
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/**/*.py"))
@@ -162,11 +166,57 @@ def test_dataclasses_rule_finds_imports(source, lines):
     assert imports_of(source, "dataclasses") == lines
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    code = "import latforge.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def modules_after(statement: str, watched: set[str]) -> list[str]:
+    """The latforge modules, and those of ``watched``, that a fresh
+    interpreter holds after running ``statement``."""
+    code = (
+        f"{statement}\nimport sys\n"
+        f"print(sorted(m for m in sys.modules if m.startswith('latforge') or m in {watched!r}))"
+    )
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    return ast.literal_eval(done.stdout)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    loaded = modules_after("import latforge.cli", {"dataclasses", "inspect"})
+    assert {"dataclasses", "inspect"}.isdisjoint(loaded)
+
+
+def test_cli_import_loads_the_modules_the_tracer_indexes():
+    # perfbench's tracer reads these from sys.modules after importing the CLI.
+    traced = "lll core parallel perm hillclimb ldsf pipeline latfile cli serialize"
+    loaded = modules_after("import latforge.cli", set())
+    assert {f"latforge.{m}" for m in traced.split()} <= set(loaded)
+
+
+def test_library_import_loads_only_the_named_modules():
+    # The certify driver's import: no search layer, and no hashlib (parallel).
+    loaded = modules_after("from latforge import core, latfile, lll", {"hashlib"})
+    assert loaded == ["latforge", *(f"latforge.{m}" for m in ("core", "errors", "latfile", "lll"))]
+
+
+class TestLazyNamespace:
+    """``latforge`` imports the module behind a name on first access."""
+
+    def test_each_name_is_its_module_object(self):
+        for name in latforge.__all__:
+            value = getattr(latforge, name)
+            assert value.__module__.startswith("latforge.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_star_import_binds_every_name(self):
+        namespace: dict = {}
+        exec("from latforge import *", namespace)
+        assert set(latforge.__all__) <= namespace.keys()
+        assert all(namespace[name] is getattr(latforge, name) for name in latforge.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            getattr(latforge, "no_such_name")
+
+    def test_dir_lists_every_name(self):
+        assert set(latforge.__all__) <= set(dir(latforge))
