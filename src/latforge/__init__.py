@@ -13,74 +13,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Basis",
-    "BasisMetrics",
-    "SvpResult",
-    "metrics",
-    "gram_det",
-    "hnf",
-    "same_lattice",
-    "svp_oracle",
-    "is_independent",
-    "reduction_key",
-    "LllParams",
-    "lll_reduce",
-    "is_lll_reduced",
-    "Permutation",
-    "RadiusClass",
-    "Side",
-    "hamming_distance",
-    "radius",
-    "sample_at_radius",
-    "sample_right",
-    "count_at_radius",
-    "psl2_permutations",
-    "apply",
-    "FixedRadius",
-    "VariableRadius",
-    "Psl2",
-    "HcConfig",
-    "HcStep",
-    "HcTrace",
-    "det_bound",
-    "hill_climb",
-    "LdsfConfig",
-    "LdsfRound",
-    "LdsfTrace",
-    "diffuse",
-    "fuse",
-    "ldsf_run",
-    "StageSpec",
-    "StageReport",
-    "PipelineReport",
-    "default_four_stage",
-    "run_pipeline",
-    "LatticeFile",
-    "parse_lattice",
-    "format_lattice",
-    "load_lattice",
-    "SweepRow",
-    "SweepResult",
-    "radius_sweep",
-    "improvement_frequency",
-    "uniform_basis",
-    "knapsack_basis",
-    "LatticeError",
-    "DependentRowsError",
-    "BoxTooLargeError",
-    "DegreeMismatchError",
-    "DegreeTooSmallError",
-    "InfeasibleRadiusError",
-    "NotPrimeError",
-    "BadBlockingError",
-    "StageInfeasibleError",
-    "BadStageParamsError",
-    "ParseError",
-    "RankDeficientError",
-]
-
-# The module that defines each public name.
+# The module that defines each public name; its keys, in order, are ``__all__``.
 _MODULE_OF = {
     name: module
     for module, names in {
@@ -101,6 +34,7 @@ _MODULE_OF = {
     }.items()
     for name in names.split()
 }
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

@@ -214,6 +214,21 @@ def _quoted(given: object) -> str:
     return text
 
 
+def _exact_target(value: object, name: str) -> Decimal | None:
+    """A stopping bound as an exact Decimal, or None for none: an int whole
+    (``str`` fails past 4,300 digits), anything else through ``str``.
+    ValueError, naming ``name``, when that is not a finite decimal."""
+    if value is None:
+        return None
+    try:
+        exact = Decimal(value if type(value) is int else str(value))
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"'{name}' is not a decimal: {_quoted(value)}") from None
+    if not exact.is_finite():
+        raise ValueError(f"{name} must be finite, got {exact}")
+    return exact
+
+
 def _leading(x: int) -> str:
     """``int_str(x)``, or its first 41 characters or more when longer: only
     40 are quoted, and rendering every digit takes time quadratic in their

@@ -10,12 +10,13 @@ elements of PSL(2,p) acting on the projective line.
 
 from __future__ import annotations
 
-import time
 from decimal import Decimal
 from typing import Callable, Union
 
 from . import perm
-from .core import REAL, Basis, BasisMetrics, Record, gram_det, metrics, reduction_key, _sqrt
+from .core import (
+    REAL, Basis, BasisMetrics, Record, gram_det, metrics, reduction_key, _exact_target, _sqrt,
+)
 from .errors import DegreeMismatchError, InfeasibleRadiusError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
@@ -41,7 +42,8 @@ class HcConfig(Record):
     """Sample size k, step budget, reduction parameter, stopping bound.
 
     ``target_bound`` of None falls back to the default output target
-    m * det(L)^(1/m); pass 0 to disable early stopping entirely.
+    m * det(L)^(1/m); pass 0 to disable early stopping entirely.  A bound
+    is kept as an exact, finite Decimal.
     """
 
     kind: HcKind
@@ -58,6 +60,7 @@ class HcConfig(Record):
             raise ValueError("max_steps must be >= 1")
         if isinstance(self.kind, VariableRadius) and self.kind.rstep < 1:
             raise ValueError("rstep must be >= 1")
+        object.__setattr__(self, "target_bound", _exact_target(self.target_bound, "target_bound"))
 
 
 class HcStep(Record):
@@ -66,7 +69,6 @@ class HcStep(Record):
     basis: Basis
     after: BasisMetrics
     improved: bool
-    seconds: float
 
 
 class HcTrace(Record):
@@ -78,7 +80,6 @@ class HcTrace(Record):
     target_bound: Decimal
     reached_target: bool
     det_bound_met: bool
-    seconds: float
 
 
 def det_bound(b: Basis, gram: int | None = None) -> Decimal:
@@ -137,7 +138,6 @@ def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
     Every basis of the walk spans the lattice of b0: ``gram`` as in ``metrics``.
     """
     sampler = _sampler(b0.m, cfg)
-    started = time.perf_counter()
     current = lll_reduce(b0, cfg.alpha)
     best = current
     best_key = reduction_key(current)
@@ -145,14 +145,12 @@ def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
     gram = gram_det(current) if gram is None else gram
     initial = best_metrics = metrics(current, gram)
     bound = det_bound(b0, gram)
-    target = bound if cfg.target_bound is None else Decimal(str(cfg.target_bound))
+    target = bound if cfg.target_bound is None else cfg.target_bound
 
     steps: list[HcStep] = []
-    best_shortest = initial.shortest
-    reached = best_shortest <= target
+    reached = initial.shortest <= target
     i = 1
     while i <= cfg.max_steps and not reached:
-        step_started = time.perf_counter()
         sample = sampler(i)
         candidates = [lll_reduce(perm.apply(current, pi), cfg.alpha) for pi in sample]
         keyed = [reduction_key(c) for c in candidates]
@@ -169,11 +167,9 @@ def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
                 basis=current,
                 after=after,
                 improved=improved,
-                seconds=time.perf_counter() - step_started,
             )
         )
-        best_shortest = min(best_shortest, after.shortest)
-        reached = best_shortest <= target
+        reached = best_metrics.shortest <= target
         i += 1
 
     return HcTrace(
@@ -185,5 +181,4 @@ def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
         target_bound=target,
         reached_target=reached,
         det_bound_met=best_metrics.shortest <= bound,
-        seconds=time.perf_counter() - started,
     )

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, Record, gram_det, metrics, _sqrt
+from .core import Basis, BasisMetrics, Record, gram_det, metrics, _exact_target, _sqrt
 from .errors import BadBlockingError
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
@@ -24,8 +23,8 @@ from .perm import Permutation, apply, check_right_degree, sample_right
 
 
 class LdsfConfig(Record):
-    """Block count, loop depths, stop bound.  Blocks hold ceil(m / servers)
-    rows each; see ``ldsf_run``."""
+    """Block count, loop depths, stop bound (kept as an exact, finite
+    Decimal).  Blocks hold ceil(m / servers) rows each; see ``ldsf_run``."""
 
     servers: int
     inner_iters: int = 1
@@ -39,6 +38,7 @@ class LdsfConfig(Record):
             raise ValueError("servers must be >= 1")
         if self.inner_iters < 1 or self.outer_iters < 1:
             raise ValueError("inner_iters and outer_iters must be >= 1")
+        object.__setattr__(self, "target_bound", _exact_target(self.target_bound, "target_bound"))
 
 
 class LdsfRound(Record):
@@ -56,7 +56,6 @@ class LdsfTrace(Record):
     best_basis: Basis
     final_basis: Basis
     reached_target: bool
-    seconds: float
 
 
 def block_sizes(m: int, k: int) -> list[int]:
@@ -118,7 +117,6 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
     DegreeTooSmallError before any reduction.
     """
     check_right_degree(b.m)
-    started = time.perf_counter()
     gram = gram_det(b) if gram is None else gram
     m = b.m
     k = cfg.servers
@@ -146,8 +144,7 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
                     permutation=pi,
                 )
             )
-        target = cfg.target_bound
-        if target is not None and _sqrt(best_sq) <= Decimal(str(target)):
+        if cfg.target_bound is not None and _sqrt(best_sq) <= cfg.target_bound:
             reached = True
             break
         k = max(1, k - 1)
@@ -157,7 +154,6 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
         best_basis=best_basis,
         final_basis=current,
         reached_target=reached,
-        seconds=time.perf_counter() - started,
     )
 
 

@@ -12,7 +12,9 @@ import json
 import time
 from decimal import Decimal
 
-from .core import Basis, BasisMetrics, Record, _quoted, gram_det, metrics, reduction_key
+from .core import (
+    Basis, BasisMetrics, Record, _exact_target, _quoted, gram_det, metrics, reduction_key,
+)
 from .errors import BadStageParamsError, StageInfeasibleError
 from .ldsf import LdsfConfig, LdsfTrace, ldsf_run, sigma_candidates
 from .lll import LllParams, lll_reduce
@@ -57,14 +59,16 @@ class StageSpec(Record):
         ]
         if unread:
             raise BadStageParamsError(f"{self.kind} stage does not use {', '.join(unread)}")
+        try:
+            object.__setattr__(self, "target_bound", _exact_target(self.target_bound, "target"))
+        except ValueError as exc:
+            raise BadStageParamsError(str(exc)) from exc
         if self.blocks < 1:
             raise BadStageParamsError("blocks must be >= 1")
         if self.sample_n < 1:
             raise BadStageParamsError("sample_n must be >= 1")
         if min(self.inner_iters, self.outer_iters) < 1:
             raise BadStageParamsError("inner and outer must be >= 1")
-        if not Decimal(str(self.target_bound or 0)).is_finite():
-            raise BadStageParamsError(f"target must be finite, got {self.target_bound}")
 
 
 class StageReport(Record):
@@ -82,7 +86,6 @@ class StageReport(Record):
 class PipelineReport(Record):
     stage_reports: tuple[StageReport, ...]
     final_basis: Basis
-    seconds: float
 
 
 def default_four_stage(
@@ -138,7 +141,6 @@ def run_pipeline(
                 f"stage {index}: {stage.kind} with {_quoted(stage.blocks)} blocks "
                 f"needs rank >= {_quoted(need)}, got {b0.m}"
             )
-    started = time.perf_counter()
     gram = gram_det(b0) if gram is None else gram
     current = b0
     before = metrics(current, gram)
@@ -181,7 +183,6 @@ def run_pipeline(
     return PipelineReport(
         stage_reports=tuple(reports),
         final_basis=current,
-        seconds=time.perf_counter() - started,
     )
 
 
@@ -189,7 +190,7 @@ def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
     """One stage-file entry; a malformed entry raises BadStageParamsError."""
     if not isinstance(data, dict):
         raise BadStageParamsError(f"entry must be a JSON object, got {_quoted(data)}")
-    kind, target = data.get("kind"), data.get("target")
+    kind = data.get("kind")
     if not isinstance(kind, str):
         raise BadStageParamsError("stage entry needs a 'kind' string")
     if kind not in _STAGE_FIELDS:
@@ -206,13 +207,6 @@ def stage_from_dict(data: dict, default_alpha: LllParams) -> StageSpec:
         spec["alpha"] = LllParams(data["alpha"]) if "alpha" in data else default_alpha
     except (TypeError, ValueError) as exc:
         raise BadStageParamsError(f"'alpha': {exc}") from exc
-    try:
-        # An int goes in whole: str() of one, alone or in a list, fails
-        # past 4,300 digits.
-        exact = target if type(target) is int else str(target)
-        spec["target_bound"] = Decimal(exact) if target is not None else None
-    except (ArithmeticError, ValueError) as exc:
-        raise BadStageParamsError(f"'target' is not a decimal: {_quoted(target)}") from exc
     return StageSpec(**spec)
 
 

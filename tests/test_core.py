@@ -14,9 +14,12 @@ from latforge import (
     BoxTooLargeError,
     DependentRowsError,
     FixedRadius,
+    BadStageParamsError,
     HcConfig,
+    LdsfConfig,
     LllParams,
     Psl2,
+    StageSpec,
     VariableRadius,
     gram_det,
     hnf,
@@ -138,6 +141,45 @@ class TestRecord:
                 assert repr(twin) == repr(value)
                 with pytest.raises(AttributeError):
                     twin.other = 1
+
+
+# Each config that takes a stopping bound, built with ``target_bound=t``.
+TARGETED = {
+    "hc": lambda t: HcConfig(FixedRadius(3), 4, 5, LllParams("3/4"), target_bound=t),
+    "ldsf": lambda t: LdsfConfig(2, target_bound=t),
+    "stage": lambda t: StageSpec("ldsf", LllParams("3/4"), target_bound=t),
+}
+
+
+@pytest.mark.parametrize("make", TARGETED.values(), ids=TARGETED)
+class TestTargetBound:
+    """A stopping bound is kept as one exact, finite Decimal: an int whole,
+    anything else through its ``str``."""
+
+    @pytest.mark.parametrize(
+        "given, kept",
+        [(None, None), (0, Decimal(0)), (0.1, Decimal("0.1")), ("2.50", Decimal("2.50")),
+         (10**5000, Decimal(10**5000)), (Decimal("-3e-9"), Decimal("-3e-9"))],
+        ids=["none", "zero", "float", "text", "5001-digit-int", "decimal"],
+    )
+    def test_kept_exactly(self, make, given, kept):
+        target = make(given).target_bound
+        assert (type(target), target) == (type(kept), kept)
+
+    @pytest.mark.parametrize(
+        "given", [float("nan"), float("-inf"), "Infinity", Decimal("sNaN")],
+        ids=["nan", "-inf", "Infinity", "sNaN"],
+    )
+    def test_non_finite_is_rejected(self, make, given):
+        with pytest.raises((ValueError, BadStageParamsError), match="must be finite, got"):
+            make(given)
+
+    @pytest.mark.parametrize(
+        "given", ["x", Fraction(1, 3), [10**5000]], ids=["text", "fraction", "list"]
+    )
+    def test_non_decimal_is_rejected(self, make, given):
+        with pytest.raises((ValueError, BadStageParamsError), match="' is not a decimal: "):
+            make(given)
 
 
 class TestBasis:

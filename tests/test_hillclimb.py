@@ -72,6 +72,17 @@ class TestFixed:
         t2 = hill_climb(b, cfg_fixed(6, k=5, p=3, seed=11))
         assert hc_trace_dict(t1) == hc_trace_dict(t2)
 
+    def test_equal_seeds_give_equal_records(self):
+        # A trace holds results only, so no clock tells two equal runs apart.
+        b = uniform_basis(8, -99, 99, seed=4)
+        runs = [hill_climb(b, cfg_fixed(6, k=5, p=3, seed=11)) for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_target_past_4300_digits(self):
+        trace = hill_climb(uniform_basis(6, -99, 99, seed=6), cfg_fixed(4, target=10**5000))
+        assert trace.target_bound == 10**5000
+        assert (trace.reached_target, trace.steps) == (True, ())
+
     def test_infeasible_radius(self):
         b = uniform_basis(6, -9, 9, seed=5)
         with pytest.raises(InfeasibleRadiusError):

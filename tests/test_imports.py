@@ -3,7 +3,7 @@ test oracles import no private name of the library.
 
 No linter ships with the project, so the checks walk the syntax tree: a
 name bound by an import must be read somewhere in the module.  Names a
-module lists in ``__all__`` (the package re-exports) count as read, and
+module lists in a literal ``__all__`` (re-exports) count as read, and
 ``from __future__ import ...`` binds nothing.  ``tests/helpers.py`` holds
 the independent oracles, so it may not import a ``_``-prefixed name from
 a latforge module: an oracle that borrows a primitive shares its faults.
@@ -43,8 +43,10 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        elif (
+            isinstance(node, ast.Assign)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         ):
             read.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
@@ -65,6 +67,8 @@ def test_no_unused_imports(path):
         ("from .core import Basis\n__all__ = ['Basis']\n", []),
         ("from x import y\ndef f(y): pass\n", ["line 1: y"]),
         ("from x import y\nclass C:\n    z: y\n", []),
+        ("from .t import _T\n__all__ = list(_T)\n", []),
+        ("import os\n__all__ = list(_T)\n", ["line 1: os"]),
     ],
 )
 def test_check_finds_unused_names(source, unused):
@@ -217,6 +221,9 @@ class TestLazyNamespace:
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
             getattr(latforge, "no_such_name")
+
+    def test_no_name_is_listed_twice(self):
+        assert len(set(latforge.__all__)) == len(latforge.__all__)
 
     def test_dir_lists_every_name(self):
         assert set(latforge.__all__) <= set(dir(latforge))

@@ -152,6 +152,18 @@ class TestRun:
         assert trace.reached_target
         assert max(r.outer for r in trace.rounds) == 1
 
+    def test_target_past_4300_digits(self):
+        b = uniform_basis(8, -99, 99, seed=12)
+        trace = ldsf_run(b, cfg(servers=2, outer=5, target=10**5000))
+        assert trace.reached_target
+        assert len(trace.rounds) == 1
+
+    def test_equal_seeds_give_equal_records(self):
+        # A trace holds results only, so no clock tells two equal runs apart.
+        b = uniform_basis(10, -999, 999, seed=8)
+        runs = [ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=5)) for _ in range(2)]
+        assert runs[0] == runs[1]
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LdsfConfig(servers=0)

@@ -143,10 +143,13 @@ class TestRun:
             assert stage.before == reference_metrics(before)
             assert stage.after == reference_metrics(after)
 
-    def test_wall_clock_accumulates(self):
+    def test_each_stage_keeps_its_wall_clock(self):
+        # StageReport.seconds is the one clock a result keeps: perfbench's
+        # tracer reads it on every traced hybrid run.
         b = uniform_basis(8, -99, 99, seed=7)
         report = run_pipeline(b, default_four_stage(2, 2, 1, A34), seed=2)
-        assert report.seconds >= sum(s.seconds for s in report.stage_reports) - 1e-6
+        assert len(report.stage_reports) == 4
+        assert all(s.seconds >= 0 for s in report.stage_reports)
 
 
 class TestSerialization:
