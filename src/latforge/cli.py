@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: lll, hc, ldsf, hybrid, sweep, freq, oracle.  Every command
-reads the bracketed lattice format via --in, honors --seed and --alpha,
-and can emit a structured JSON report (--report); sweep and freq also
-write their table as CSV (--out-csv, stdout otherwise).  --alpha becomes
-one LllParams in cli_main, which every handler reads.
+reads the bracketed lattice format via --in and honors --seed and --alpha
+(one LllParams, made in cli_main); sweep and freq write their table as CSV
+(--out-csv, stdout otherwise).  Each handler returns a builder of its report
+payload, which cli_main calls and writes only when --report is given.
 Exit codes: 0 success, 1 usage or input error, 2 computation error.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from decimal import Decimal
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import serialize
 from .bench import improvement_frequency, radius_sweep
@@ -118,35 +118,21 @@ def _write(path: str | None, content: str) -> None:
         sys.stdout.write(content)
 
 
-def _emit_report(args, payload: dict) -> None:
-    payload = dict(payload)
-    payload["seed"] = args.seed
-    payload["alpha"] = str(args.alpha.alpha)
-    payload["input"] = args.infile
-    if args.report:
-        _write(args.report, serialize.to_json(payload))
-
-
-def _cmd_lll(args, lattice: LatticeFile) -> int:
+def _cmd_lll(args, lattice: LatticeFile) -> Callable[[], dict]:
     reduced = lll_reduce(lattice.basis, args.alpha)
     after = metrics(reduced)
     print(
         f"lll: shortest={after.shortest:.6g} longest={after.longest:.6g} "
         f"log10_weight={after.log10_weight:.6g}"
     )
-    _emit_report(
-        args,
-        {
-            "command": "lll",
-            "before": serialize.metrics_dict(metrics(lattice.basis)),
-            "after": serialize.metrics_dict(after),
-            "basis": serialize.basis_entries(reduced),
-        },
-    )
-    return 0
+    return lambda: {
+        "before": serialize.metrics_dict(metrics(lattice.basis)),
+        "after": serialize.metrics_dict(after),
+        "basis": serialize.basis_entries(reduced),
+    }
 
 
-def _cmd_hc(args, lattice: LatticeFile) -> int:
+def _cmd_hc(args, lattice: LatticeFile) -> Callable[[], dict]:
     chosen = [x for x in (args.radius, args.r0, args.psl2) if x is not None]
     if len(chosen) != 1:
         raise ValueError("pass exactly one of --radius, --r0, --psl2")
@@ -171,11 +157,10 @@ def _cmd_hc(args, lattice: LatticeFile) -> int:
         f"hc: best shortest={trace.best_metrics.shortest:.6g} "
         f"steps={len(trace.steps)} reached_target={trace.reached_target}"
     )
-    _emit_report(args, {"command": "hc", **serialize.hc_trace_dict(trace)})
-    return 0
+    return lambda: serialize.hc_trace_dict(trace)
 
 
-def _cmd_ldsf(args, lattice: LatticeFile) -> int:
+def _cmd_ldsf(args, lattice: LatticeFile) -> Callable[[], dict]:
     cfg = LdsfConfig(
         servers=args.blocks,
         inner_iters=args.inner,
@@ -189,11 +174,10 @@ def _cmd_ldsf(args, lattice: LatticeFile) -> int:
         f"ldsf: best shortest={trace.best_vector_norm:.6g} "
         f"rounds={len(trace.rounds)} reached_target={trace.reached_target}"
     )
-    _emit_report(args, {"command": "ldsf", **serialize.ldsf_trace_dict(trace)})
-    return 0
+    return lambda: serialize.ldsf_trace_dict(trace)
 
 
-def _cmd_hybrid(args, lattice: LatticeFile) -> int:
+def _cmd_hybrid(args, lattice: LatticeFile) -> Callable[[], dict]:
     stages = load_stages(args.stages, args.alpha)
     report = run_pipeline(lattice.basis, stages, seed=args.seed, gram=lattice.gram)
     last = report.stage_reports[-1]
@@ -201,44 +185,34 @@ def _cmd_hybrid(args, lattice: LatticeFile) -> int:
         f"hybrid: stages={len(report.stage_reports)} "
         f"final shortest={last.after.shortest:.6g}"
     )
-    _emit_report(args, {"command": "hybrid", **serialize.pipeline_report_dict(report)})
-    return 0
+    return lambda: serialize.pipeline_report_dict(report)
 
 
-def _cmd_sweep(args, lattice: LatticeFile) -> int:
+def _cmd_sweep(args, lattice: LatticeFile) -> Callable[[], dict]:
     result = radius_sweep(
         lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
     )
     _write(args.out_csv, result.to_csv())
-    _emit_report(args, {"command": "sweep", **serialize.sweep_dict(result)})
-    return 0
+    return lambda: serialize.sweep_dict(result)
 
 
-def _cmd_freq(args, lattice: LatticeFile) -> int:
+def _cmd_freq(args, lattice: LatticeFile) -> Callable[[], dict]:
     freqs = improvement_frequency(
         lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
     )
     lines = ["radius,frequency"]
     lines.extend(f"{r},{freqs[r]:g}" for r in args.radii)
     _write(args.out_csv, "\n".join(lines) + "\n")
-    _emit_report(
-        args,
-        {
-            "command": "freq",
-            "frequencies": {str(r): freqs[r] for r in args.radii},
-        },
-    )
-    return 0
+    return lambda: {"frequencies": {str(r): freqs[r] for r in args.radii}}
 
 
-def _cmd_oracle(args, lattice: LatticeFile) -> int:
+def _cmd_oracle(args, lattice: LatticeFile) -> Callable[[], dict]:
     result = svp_oracle(lattice.basis, args.bound, budget=args.budget)
     print(
         f"oracle: lambda1={result.lambda1:.6g} "
         f"checked={result.count_checked} vector={list(result.vector)}"
     )
-    _emit_report(args, {"command": "oracle", **serialize.svp_dict(result)})
-    return 0
+    return lambda: serialize.svp_dict(result)
 
 
 _COMMANDS = {
@@ -261,7 +235,12 @@ def cli_main(argv: Sequence[str]) -> int:
         return 0 if code == 0 else 1
     try:
         args.alpha = LllParams(args.alpha)
-        return _COMMANDS[args.command](args, load_lattice(args.infile))
+        build_report = _COMMANDS[args.command](args, load_lattice(args.infile))
+        if args.report:
+            payload = {**build_report(), "command": args.command, "seed": args.seed}
+            payload.update(alpha=str(args.alpha.alpha), input=args.infile)
+            _write(args.report, serialize.to_json(payload))
+        return 0
     except COMPUTATION_ERRORS as exc:
         print(f"latforge {args.command}: computation failed: {exc}", file=sys.stderr)
         return 2

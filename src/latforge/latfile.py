@@ -16,11 +16,10 @@ from .errors import ParseError, RankDeficientError
 
 
 class LatticeFile(Record):
-    """A parsed basis, where it came from, and det(B.B^T) from the
-    independence check, so that a run need not compute it again."""
+    """A parsed basis and det(B.B^T) from the independence check, so that
+    a run need not compute it again."""
 
     basis: Basis
-    source: str
     gram: int
 
 
@@ -29,7 +28,7 @@ class LatticeFile(Record):
 _TOKEN = re.compile(r"([+-]?[0-9]+)|\S")
 
 
-def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
+def parse_lattice(text: str | bytes) -> LatticeFile:
     """Parse the bracket format into a validated basis.
 
     Raises ParseError with a position for malformed text and
@@ -87,7 +86,7 @@ def parse_lattice(text: str | bytes, source: str = "<memory>") -> LatticeFile:
     gram = gram_det(basis)
     if not gram:
         raise RankDeficientError("rows are linearly dependent")
-    return LatticeFile(basis=basis, source=source, gram=gram)
+    return LatticeFile(basis=basis, gram=gram)
 
 
 def format_lattice(b: Basis) -> str:
@@ -97,7 +96,7 @@ def format_lattice(b: Basis) -> str:
 
 def load_lattice(path: str) -> LatticeFile:
     with open(path, "rb") as fh:
-        return parse_lattice(fh.read(), source=path)
+        return parse_lattice(fh.read())
 
 
 def save_lattice(b: Basis, path: str) -> None:

@@ -440,7 +440,7 @@ class _Scanner:
         return int(Decimal(self.text[start : self.pos]))
 
 
-def parse_lattice_reference(text: str | bytes, source: str = "<memory>") -> LatticeFile:
+def parse_lattice_reference(text: str | bytes) -> LatticeFile:
     """The lattice-format reader before the token regex, a scanner method
     call per character: the reference for ``parse_lattice``."""
     if isinstance(text, bytes):
@@ -489,4 +489,4 @@ def parse_lattice_reference(text: str | bytes, source: str = "<memory>") -> Latt
     gram = gram_det(basis)
     if not gram:
         raise RankDeficientError("rows are linearly dependent")
-    return LatticeFile(basis=basis, source=source, gram=gram)
+    return LatticeFile(basis=basis, gram=gram)

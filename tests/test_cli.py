@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import inspect
 import io
 import json
 import multiprocessing
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latforge
-from latforge import Basis, bench, cli, core, hillclimb, ldsf, lll_reduce, uniform_basis
+from latforge import (
+    Basis, bench, cli, core, hillclimb, ldsf, lll_reduce, serialize, uniform_basis
+)
 from latforge.cli import cli_main
 from latforge.latfile import load_lattice, save_lattice
 from latforge.lll import LllParams
@@ -140,8 +143,20 @@ class TestHc:
             assert code == 0
         assert r1.read_bytes() == r2.read_bytes()
 
+    @pytest.mark.parametrize(
+        "option, message",
+        [("--k", "sample_size must be >= 1"), ("--p", "max_steps must be >= 1")],
+    )
+    def test_zero_sample_or_steps_is_usage_error(self, rank8, capsys, option, message):
+        assert cli_main(["hc", "--radius", "4", option, "0", "--in", rank8]) == 1
+        assert f"latforge hc: error: {message}" in capsys.readouterr().err
+
 
 class TestTarget:
+    def test_bad_decimal_is_usage_error(self, rank8, capsys):
+        assert cli_main(["hc", "--radius", "4", "--target", "x", "--in", rank8]) == 1
+        assert "argument --target: bad decimal 'x'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command", [["hc", "--radius", "4", "--k", "2"], ["ldsf", "--blocks", "2"]]
     )
@@ -217,12 +232,20 @@ class TestHybrid:
                 "stage 2: lll stage does not use 'blocks', 'sample', 'target'",
             ),
             ({"kind": "lll", "inner": 2}, "stage 2: lll stage does not use 'inner'"),
+            ({"kind": "ldsf", "blocks": 0}, "stage 2: blocks must be >= 1"),
+            ({"kind": "bogus"}, "stage 2: unknown stage kind 'bogus'"),
+            ({"kind": "ldsf", "blocks": [1]}, "stage 2: 'blocks' must be an integer, got [1]"),
+            (
+                {"kind": "ldsf", "blocks": {"a": 1}},
+                "stage 2: 'blocks' must be an integer, got {'a': 1}",
+            ),
         ],
         ids=[
             "not-object", "float-alpha", "alpha-1/0", "float-blocks", "string-sample",
             "float-inner", "bool-outer", "zero-outer", "bad-target", "nan-target",
             "blocks-over-rank", "ldsf-typo-key", "ldsf-sample", "sigma-typo-key",
-            "lll-ldsf-keys", "lll-inner",
+            "lll-ldsf-keys", "lll-inner", "zero-blocks", "unknown-kind", "list-blocks",
+            "object-blocks",
         ],
     )
     def test_bad_stage_entry_is_usage_error(self, rank8, tmp_path, capsys, entry, message):
@@ -440,6 +463,20 @@ class TestSweepAndFreq:
         assert "moves exactly 1 points" in capsys.readouterr().err
         assert reductions == []
 
+    @pytest.mark.parametrize("command", ["sweep", "freq"])
+    def test_zero_samples_is_usage_error(self, rank8, capsys, command):
+        assert cli_main([command, "--radii", "4", "--samples", "0", "--in", rank8]) == 1
+        assert f"latforge {command}: error: n_samples must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "freq"])
+    def test_table_goes_to_stdout_without_out_csv(self, rank8, tmp_path, capsys, command):
+        argv = [command, "--radii", "4,6", "--samples", "3", "--seed", "2", "--in", rank8]
+        out = tmp_path / "t.csv"
+        assert cli_main([*argv, "--out-csv", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
     def test_bad_radius_list(self, rank8):
         assert cli_main(["sweep", "--radii", "5,x", "--in", rank8]) == 1
 
@@ -499,11 +536,15 @@ class TestOptions:
         assert "unrecognized arguments: --out-csv" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_every_option_is_read(self):
-        # Each option of a command is read as args.<dest> by its handler,
-        # by cli_main or by _emit_report: none is accepted and ignored.
+    @staticmethod
+    def functions() -> dict[str, ast.FunctionDef]:
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-        functions = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+        return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+
+    def test_every_option_is_read(self):
+        # Each option of a command is read as args.<dest> by its handler or
+        # by cli_main: none is accepted and ignored.
+        functions = self.functions()
 
         def args_read(name: str) -> set[str]:
             return {
@@ -512,7 +553,7 @@ class TestOptions:
                 and isinstance(n.value, ast.Name) and n.value.id == "args"
             }
 
-        shared = args_read("cli_main") | args_read("_emit_report")
+        shared = args_read("cli_main")
         (commands,) = [
             a.choices for a in cli.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
@@ -526,6 +567,48 @@ class TestOptions:
             and action.dest not in shared | args_read(handler.__name__)
         ]
         assert unread == []
+
+    def test_only_cli_main_writes_a_report(self):
+        writers = [
+            name for name, fn in self.functions().items()
+            for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "serialize.to_json"
+        ]
+        assert writers == ["cli_main"]
+
+
+class TestNoReportNoRendering:
+    """Without --report no command renders a report: no public function of
+    ``latforge.serialize`` is called."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lll"],
+            ["hc", "--radius", "4", "--k", "2", "--p", "2"],
+            ["ldsf", "--blocks", "2"],
+            ["hybrid", "--stages", "STAGES"],
+            ["sweep", "--radii", "4", "--samples", "2", "--out-csv", "CSV"],
+            ["freq", "--radii", "4", "--samples", "2", "--out-csv", "CSV"],
+            ["oracle", "--bound", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_no_serialize_call(self, tmp_path, monkeypatch, capsys, argv):
+        lat, stages = tmp_path / "u5.lat", tmp_path / "stages.json"
+        save_lattice(uniform_basis(5, -99, 99, seed=1), str(lat))
+        stages.write_text(json.dumps([{"kind": "ldsf", "blocks": 2}, {"kind": "lll"}]))
+        files = {"STAGES": str(stages), "CSV": str(tmp_path / "t.csv")}
+        calls, public = Counter(), [
+            (name, fn) for name, fn in vars(serialize).items()
+            if inspect.isfunction(fn) and fn.__module__ == serialize.__name__
+            and not name.startswith("_")
+        ]
+        assert {"to_json", "metrics_dict", "hc_trace_dict"} <= dict(public).keys()
+        for name, fn in public:
+            monkeypatch.setattr(serialize, name, counting(calls, name, fn))
+        assert cli_main([*(files.get(a, a) for a in argv), "--in", str(lat)]) == 0
+        assert calls == Counter()
 
 
 class TestErrors:

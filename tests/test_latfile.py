@@ -107,7 +107,6 @@ class TestRoundTrip:
         save_lattice(b, str(path))
         lat = load_lattice(str(path))
         assert lat.basis == b
-        assert lat.source == str(path)
 
 
 # Texts for the differential test: characters the reader treats in every

@@ -209,6 +209,11 @@ class TestSigma:
             metrics(t.final_basis).shortest for _, t in candidates
         )
 
+    def test_no_candidates_is_an_error(self):
+        b = uniform_basis(6, -99, 99, seed=18)
+        with pytest.raises(ValueError, match="n_perms must be >= 1"):
+            sigma_candidates(0, b, cfg(servers=2), derive_rng("none"))
+
 
 def assert_reference_metrics(trace, servers):
     """Every fused and block metric of ``trace`` equals the metric of its
