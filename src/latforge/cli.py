@@ -247,7 +247,7 @@ def cli_main(argv: Sequence[str]) -> int:
     except (LatticeError, ValueError, OSError) as exc:
         print(f"latforge {args.command}: error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"latforge {args.command}: internal error: {exc}", file=sys.stderr)
         return 2
 

@@ -89,14 +89,20 @@ class Basis(Record):
 
     Rows are assumed linearly independent over the rationals; operations
     that compute an orthogonalization raise :class:`DependentRowsError`
-    when they are not.  Construction checks shape only.
+    when they are not.  Construction checks the shape and takes each entry
+    as an exact ``int``: ValueError for an entry whose value ``int`` does
+    not keep (1.5, "7", inf).
     """
 
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(map(int, row)) for row in self.rows)
+        rows = tuple(_exact_ints(row, "basis entry") for row in self.rows)
         object.__setattr__(self, "rows", rows)
+        self._check_shape()
+
+    def _check_shape(self) -> None:
+        rows = self.rows
         if not rows:
             raise ValueError("basis needs at least one row")
         n = len(rows[0])
@@ -104,6 +110,17 @@ class Basis(Record):
             raise ValueError("all rows must have the same length")
         if len(rows) > n:
             raise ValueError(f"rank {len(rows)} exceeds ambient dimension {n}")
+
+    @classmethod
+    def _built(cls, rows: tuple[tuple[int, ...], ...]) -> "Basis":
+        """A basis of rows the library built itself: a tuple of equal-length
+        int tuples, at most as many as their length, taken from other bases
+        or computed from them by integer arithmetic.  They are bound as
+        given, with no copy and no check; rows from outside go through
+        ``Basis(rows)``.  An LDSF round builds 2k + 2 bases this way."""
+        b = object.__new__(cls)
+        b.__dict__["rows"] = rows
+        return b
 
     @property
     def m(self) -> int:
@@ -212,6 +229,29 @@ def _quoted(given: object) -> str:
         if len(text) > 40:
             return text[:37] + "..."
     return text
+
+
+def _exact_ints(given, what: str) -> tuple[int, ...]:
+    """``given`` as a tuple of exact ints.  A value that ``int`` keeps is
+    taken (a bool, an integral Fraction or Decimal, an int-like); for any
+    other, ValueError quotes the first such entry as ``what``.  The check
+    compares the converted tuple with the given one, in C."""
+    given = tuple(given)
+    try:
+        out = tuple(map(int, given))
+        if out == given:
+            return out
+    except (ArithmeticError, ValueError):
+        pass
+    bad = next(x for x in given if not _keeps_value(x))
+    raise ValueError(f"{what} is not an integer: {_quoted(bad)}")
+
+
+def _keeps_value(x: object) -> bool:
+    try:
+        return int(x) == x
+    except (ArithmeticError, ValueError):
+        return False
 
 
 def _exact_target(value: object, name: str) -> Decimal | None:

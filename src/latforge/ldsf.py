@@ -94,15 +94,18 @@ def diffuse(b: Basis, k: int, rng: random.Random) -> list[Basis]:
     blocks = []
     at = 0
     for size in sizes:
-        blocks.append(Basis(tuple(b.rows[i] for i in order[at : at + size])))
+        blocks.append(Basis._built(tuple(b.rows[i] for i in order[at : at + size])))
         at += size
     return blocks
 
 
 def fuse(blocks: list[Basis], p: Permutation) -> Basis:
     """Concatenate blocks in order, then rearrange rows by p; ``apply``
-    raises DegreeMismatchError when p's degree is not the row count."""
-    return apply(Basis(tuple(row for blk in blocks for row in blk.rows)), p)
+    raises DegreeMismatchError when p's degree is not the row count.  The
+    rows are the blocks' own ints, so only the shape is checked."""
+    joined = Basis._built(tuple(row for blk in blocks for row in blk.rows))
+    joined._check_shape()
+    return apply(joined, p)
 
 
 def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:

@@ -13,7 +13,7 @@ import enum
 import math
 import random
 
-from .core import Basis, Record
+from .core import Basis, Record, _exact_ints
 from .errors import (
     DegreeMismatchError,
     DegreeTooSmallError,
@@ -33,7 +33,7 @@ class Permutation(Record):
     images: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "images", tuple(int(x) for x in self.images))
+        object.__setattr__(self, "images", _exact_ints(self.images, "permutation image"))
         m = len(self.images)
         if sorted(self.images) != list(range(1, m + 1)):
             raise ValueError(f"not a bijection on 1..{m}: {self.images}")
@@ -194,4 +194,4 @@ def apply(b: Basis, p: Permutation) -> Basis:
         raise DegreeMismatchError(
             f"permutation degree {p.degree} != basis rank {b.m}"
         )
-    return Basis(tuple(b.rows[img - 1] for img in p.images))
+    return Basis._built(tuple(b.rows[img - 1] for img in p.images))

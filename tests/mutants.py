@@ -1,0 +1,281 @@
+"""Mutants of ``src/`` that the tests must kill, and a runner for them.
+
+Each row names a file under ``src/latforge``, an exact old text, the new
+text that replaces it and the tests that must fail with the new text in
+place.  The runner copies ``src/`` to a temporary directory for each row,
+applies the mutant there, runs only the named tests against that copy and
+lists the survivors:
+
+    python tests/mutants.py            # every row
+    python tests/mutants.py -k record  # rows whose name contains "record"
+
+It exits 0 when every mutant is killed and every equivalent one survives.
+A row marked equivalent computes the same results as the code it replaces,
+so no test can kill it; it stays in the table so that nobody spends time
+on it again.  pytest does not collect this file; ``test_mutants.py``
+checks that each old text occurs exactly once in ``src/``, so a refactor
+that moves mutated code must update the table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# A mutant that makes a test loop (a wrong LLL swap can) counts as killed.
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # under src/latforge
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    equivalent: bool = False
+
+
+KERNEL = ("tests/test_lll.py::TestKernelMatchesReference",)
+RECORD = ("tests/test_core.py::TestRecord",)
+
+MUTANTS = (
+    # The integral LLL kernel, against the loop-form reference of helpers.py.
+    Mutant(
+        "kernel: add for r = +1", "lll.py",
+        "        op = add if r == -1 else sub\n",
+        "        op = add if r in (1, -1) else sub\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel: no lambda refresh after the first size reduction", "lll.py",
+        "            reduce_by(k, k - 1, x, dk)\n            x = lk[k - 1]\n",
+        "            reduce_by(k, k - 1, x, dk)\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel swap: d[k+1] for d[k] in the new d[k]", "lll.py",
+        "            new_d = num // dk\n",
+        "            new_d = num // dk_next\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel swap: d[k+1] for d[k] in the lambda update", "lll.py",
+        "                li[k] = (dk_next * li[k - 1] - x * t) // dk\n",
+        "                li[k] = (dk_next * li[k - 1] - x * t) // dk_next\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel: size test with >=", "lll.py",
+        "        if 2 * abs(x) > dk:\n",
+        "        if 2 * abs(x) >= dk:\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel: inner size test with >=", "lll.py",
+        "                if 2 * abs(x) > dl:\n",
+        "                if 2 * abs(x) >= dl:\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel: Lovasz test with <=", "lll.py",
+        "        if q * num < p * dk * dk:\n",
+        "        if q * num <= p * dk * dk:\n",
+        KERNEL,
+    ),
+    Mutant(
+        "is_lll_reduced: size test with >=", "lll.py",
+        "        if any(2 * abs(lam[k][l]) > d[l + 1] for l in range(k)):\n",
+        "        if any(2 * abs(lam[k][l]) >= d[l + 1] for l in range(k)):\n",
+        ("tests/test_lll.py::TestIsReduced",),
+    ),
+    Mutant(
+        "is_lll_reduced: Lovasz test with <=", "lll.py",
+        "        if q * (d[k - 1] * d[k + 1] + lam_k * lam_k) < p * d[k] * d[k]:\n",
+        "        if q * (d[k - 1] * d[k + 1] + lam_k * lam_k) <= p * d[k] * d[k]:\n",
+        ("tests/test_lll.py::TestIsReduced",),
+    ),
+    Mutant(
+        "gso: sign flip in _gso_row", "core.py",
+        "            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]\n",
+        "            u = (d[i + 1] * u + lk[i] * lj[i]) // d[i]\n",
+        KERNEL,
+    ),
+    # Quoting, determinants and the canonical HNF.
+    Mutant(
+        "_leading keeps one digit fewer", "core.py",
+        "    k = (abs(x).bit_length() - 1) * 30102 // 100000 - 40\n",
+        "    k = (abs(x).bit_length() - 1) * 30102 // 100000 - 39\n",
+        ("tests/test_core.py::TestQuoted",),
+    ),
+    Mutant(
+        "gram_det: knapsack bases take the GSO route", "core.py",
+        "        if b.n - b.m > 1:\n",
+        "        if b.n - b.m > 0:\n",
+        ("tests/test_core.py::TestGramDet",),
+    ),
+    Mutant(
+        "gram_det: two extra columns take the echelon route", "core.py",
+        "        if b.n - b.m > 1:\n",
+        "        if b.n - b.m > 2:\n",
+        ("tests/test_core.py::TestGramDet",),
+    ),
+    Mutant(
+        "hnf: finished rows reduced modulo det in every column", "core.py",
+        "            above[p + 1:] = [(a - q * c) % det"
+        " for a, c in zip(above[p + 1:], row[p + 1:])]\n",
+        "            above[:] = [a % det for a in above[:p + 1]] + [(a - q * c) % det"
+        " for a, c in zip(above[p + 1:], row[p + 1:])]\n",
+        ("tests/test_core.py::TestHnf",),
+    ),
+    Mutant(
+        "metrics: determinant recomputed on every read", "core.py",
+        "    @cached_property\n    def det_lattice(self)",
+        "    @property\n    def det_lattice(self)",
+        ("tests/test_core.py::TestLazyMetrics",),
+    ),
+    Mutant(
+        "metrics: carried determinant ignored", "core.py",
+        "        return _sqrt(gram_det(self._basis) if self._gram is None else self._gram)\n",
+        "        return _sqrt(gram_det(self._basis))\n",
+        ("tests/test_core.py::TestMetrics",),
+    ),
+    Mutant(
+        "svp: a branch pruned on ties", "core.py",
+        "            if sq > best_sq:\n",
+        "            if sq >= best_sq:\n",
+        ("tests/test_core.py::TestSvpOracle",),
+    ),
+    Mutant(
+        "echelon: a zero entry skipped also when the pivot changes", "core.py",
+        "            if row is not piv_row and (f or piv != prev):\n",
+        "            if row is not piv_row and f:\n",
+        ("tests/test_core.py::TestReducedEchelon",),
+    ),
+    Mutant(
+        "hnf: pivot row not rebuilt on (-1, 0) either", "core.py",
+        "            if (x, y) != (1, 0):\n",
+        "            if (x, y) not in ((1, 0), (-1, 0)):\n",
+        ("tests/test_core.py::TestHnf",),
+        # The pivot row then differs only in sign; the row kept is u * row
+        # mod R with u * a = d (mod R) either way, and two such rows differ
+        # by a vector of the lattice of the rows still to come.
+        equivalent=True,
+    ),
+    # The Record base: value semantics of a frozen dataclass.
+    Mutant(
+        "record: == across classes", "core.py",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not isinstance(other, Record):\n",
+        RECORD,
+    ),
+    Mutant(
+        "record: hash of the field names", "core.py",
+        "        return hash(self._values())\n\n    def __repr__(self) -> str:\n        shown",
+        "        return hash(self._fields)\n\n    def __repr__(self) -> str:\n        shown",
+        RECORD,
+    ),
+    Mutant(
+        "record: unknown keywords accepted", "core.py",
+        "            if len(args) > len(names)"
+        " or not kwargs.keys() <= set(rest) <= values.keys():\n",
+        "            if len(args) > len(names) or not set(rest) <= values.keys():\n",
+        RECORD,
+    ),
+    Mutant(
+        "record: deletion allowed", "core.py",
+        "    __delattr__ = __setattr__\n",
+        "",
+        RECORD,
+    ),
+    Mutant(
+        "record: __post_init__ not called", "core.py",
+        "        self.__post_init__()\n",
+        "",
+        RECORD,
+    ),
+    Mutant(
+        "record: repr by str", "core.py",
+        '        shown = ", ".join(f"{f}={v!r}"',
+        '        shown = ", ".join(f"{f}={v}"',
+        RECORD,
+    ),
+    Mutant(
+        "record: no defaults", "core.py",
+        "        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}\n",
+        "        cls._defaults = {}\n",
+        RECORD,
+    ),
+    # Bases the library builds from its own rows, and the outside boundary.
+    Mutant(
+        "built: lll_reduce hands lists to Basis._built", "lll.py",
+        "    return Basis._built(tuple(map(tuple, rows)))\n",
+        "    return Basis._built(rows)\n",
+        ("tests/test_core.py::TestLibraryBuiltBases",),
+    ),
+    Mutant(
+        "built: fuse without the shape check", "ldsf.py",
+        "    joined._check_shape()\n",
+        "",
+        ("tests/test_core.py::TestLibraryBuiltBases",),
+    ),
+    Mutant(
+        "boundary: lossy entries accepted", "core.py",
+        "        if out == given:\n            return out\n",
+        "        return out\n",
+        (
+            "tests/test_core.py::TestBasis::test_lossy_entry_is_rejected",
+            "tests/test_perm.py::TestPermutation::test_lossy_image_is_rejected",
+        ),
+    ),
+)
+
+
+def killed(mutant: Mutant) -> bool:
+    """Whether the named tests fail on a copy of ``src/`` with ``mutant``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        target = src / "latforge" / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: the old text does not occur once in {mutant.path}")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+        try:
+            done = subprocess.run(
+                [*command, *mutant.tests], cwd=ROOT, env=env, capture_output=True,
+                timeout=TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return True
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"{mutant.name}: pytest exited {done.returncode}\n{done.stdout.decode()}")
+    return done.returncode == 1
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("-k", default="", help="run only rows whose name contains this")
+    rows = [m for m in MUTANTS if parser.parse_args().k in m.name]
+    wrong = []
+    for mutant in rows:
+        dead = killed(mutant)
+        label = ("killed" if dead else "survived") + (" (equivalent)" if mutant.equivalent else "")
+        print(f"{label:21}  {mutant.name}", flush=True)
+        if dead == mutant.equivalent:
+            wrong.append(mutant.name)
+    print(f"{len(rows) - len(wrong)} of {len(rows)} as expected; unexpected: {wrong or 'none'}")
+    return 1 if wrong else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -489,6 +489,16 @@ class TestSweepAndFreq:
         assert captured.out == ""
 
 
+class TestInternalError:
+    def test_unexpected_exception_exits_2(self, id4, capsys, monkeypatch):
+        def fail(args, lattice):
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setitem(cli._COMMANDS, "lll", fail)
+        assert cli_main(["lll", "--in", id4]) == 2
+        assert capsys.readouterr().err == "latforge lll: internal error: handler failed\n"
+
+
 class TestOracle:
     def test_identity(self, id4, capsys):
         assert cli_main(["oracle", "--bound", "2", "--in", id4]) == 0

@@ -1,9 +1,12 @@
+import ast
 import copy
+import enum
 import itertools
 import pickle
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +21,13 @@ from latforge import (
     HcConfig,
     LdsfConfig,
     LllParams,
+    Permutation,
     Psl2,
     StageSpec,
     VariableRadius,
+    apply,
+    diffuse,
+    fuse,
     gram_det,
     hnf,
     knapsack_basis,
@@ -196,6 +203,29 @@ class TestBasis:
         assert b.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
         assert (b.m, b.n) == (3, 3)
 
+    @pytest.mark.parametrize(
+        "rows, shown",
+        [
+            (((1.5, 2), (3, 4.9)), "1.5"),
+            (((Decimal("2.7"), 0), ("7", 1)), "2.7"),
+            (((2, 0), ("7", 1)), "'7'"),
+            (((Fraction(1, 3),),), "1/3"),
+            (([float("inf")],), "inf"),
+            (([float("nan")],), "nan"),
+        ],
+        ids=["float", "decimal", "text", "fraction", "inf", "nan"],
+    )
+    def test_lossy_entry_is_rejected(self, rows, shown):
+        with pytest.raises(ValueError) as info:
+            Basis(rows)
+        assert str(info.value) == f"basis entry is not an integer: {shown}"
+
+    def test_entries_whose_value_int_keeps_are_taken(self):
+        Small = enum.IntEnum("Small", "ONE TWO")
+        b = Basis([[2.0, Decimal("-4.00"), 1], [Small.TWO, Fraction(6, 2), 0], [False, 10**40, 5]])
+        assert b.rows == ((2, -4, 1), (2, 3, 0), (0, 10**40, 5))
+        assert all(type(x) is int for row in b.rows for x in row)
+
 
 class TestGso:
     def test_identity_is_orthonormal(self):
@@ -329,6 +359,71 @@ class TestLazyMetrics:
         assert metrics(other, gram) != metrics(b)
         assert metrics(other) != metrics(b, gram)
         assert metrics(b, 4 * gram) != metrics(b)
+
+    def test_another_type_is_not_equal(self):
+        m = metrics(Basis.identity(2))
+        assert m.__eq__(m._values()) is NotImplemented
+        assert m != m._values()
+
+    def test_repr_shows_the_four_values(self):
+        assert repr(metrics(Basis.identity(2))) == (
+            "BasisMetrics(Decimal('1'), Decimal('1'), Decimal('0'), Decimal('1'))"
+        )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "latforge"
+
+
+def _check_library_built(out: Basis) -> None:
+    """``out`` is what the public constructor would make of its rows."""
+    assert type(out.rows) is tuple
+    assert all(type(row) is tuple for row in out.rows)
+    assert all(type(x) is int for row in out.rows for x in row)
+    twin = Basis(out.rows)
+    assert out == twin and twin == out
+    assert hash(out) == hash(twin)
+    back = pickle.loads(pickle.dumps(out))
+    assert back == out and hash(back) == hash(out)
+
+
+class TestLibraryBuiltBases:
+    """``lll_reduce``, ``apply``, ``diffuse`` and ``fuse`` bind their rows
+    through ``Basis._built``, which neither copies nor checks them."""
+
+    @given(
+        b=st.one_of(
+            st.builds(uniform_basis, st.integers(3, 8), st.just(-99), st.just(99),
+                      seed=st.integers(0, 10**6)),
+            st.builds(knapsack_basis, st.integers(3, 8), st.integers(2, 80),
+                      seed=st.integers(0, 10**6)),
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_outputs_equal_their_public_twins(self, b, data):
+        perm = data.draw(st.permutations(range(1, b.m + 1)).map(Permutation))
+        k = data.draw(st.integers(1, b.m // 2))
+        blocks = diffuse(b, k, derive_rng("built", b.rows))
+        outs = [lll_reduce(b), apply(b, perm), *blocks, fuse(blocks, perm)]
+        outs += [lll_reduce(blk) for blk in blocks]
+        for out in outs:
+            _check_library_built(out)
+
+    def test_fuse_checks_the_shape_of_its_blocks(self):
+        with pytest.raises(ValueError, match="same length"):
+            fuse([Basis.identity(2), Basis.identity(3)], Permutation.identity(5))
+        with pytest.raises(ValueError, match="rank 4 exceeds ambient dimension 2"):
+            fuse([Basis.identity(2), Basis.identity(2)], Permutation.identity(4))
+
+    def test_only_the_search_layers_call_it(self):
+        # A new caller vouches that its rows are ints of the right shape.
+        callers = sorted(
+            path.name
+            for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr == "_built"
+        )
+        assert callers == ["ldsf.py", "ldsf.py", "lll.py", "perm.py"]
 
 
 class TestGramDet:

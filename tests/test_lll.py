@@ -213,6 +213,16 @@ DEPENDENT_ROWS = [
 ]
 
 
+# Exact ties, where only the strict comparisons of the kernel decide:
+# mu_21 = 1/2; the Lovasz condition met with equality at alpha 3/4; and a
+# rank-4 basis that meets 2|lam| = d in the inner size-reduction loop too.
+TIE_ROWS = [
+    ((2, 0), (1, 1)),
+    ((2, 0, 0, 0), (0, 1, 1, 1)),
+    ((0, 3, 3, 3), (2, 1, 3, -2), (1, 3, 1, -2), (0, -3, 0, 3)),
+]
+
+
 def _kernel_corpus() -> list[Basis]:
     """Small uniform bases, knapsack bases up to 1000-bit weights, and the
     hill-climb shape: radius-35 permutations of lll(knapsack(40, 60-bit)),
@@ -241,3 +251,8 @@ class TestKernelMatchesReference:
                 lll_reduce_reference(Basis(rows), params)
             with pytest.raises(DependentRowsError, match=f"^{expected.value}$"):
                 lll_reduce(Basis(rows), params)
+
+    @pytest.mark.parametrize("rows", TIE_ROWS, ids=["size", "lovasz", "inner-size"])
+    def test_ties_are_decided_as_the_reference_decides(self, rows):
+        b, params = Basis(rows), LllParams("3/4")
+        assert lll_reduce(b, params).rows == lll_reduce_reference(b, params).rows

@@ -1,5 +1,7 @@
 import itertools
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,24 @@ class TestPermutation:
         p = Permutation((3, 1, 2))
         assert p.compose(p.inverse()) == Permutation.identity(3)
         assert p.inverse().compose(p) == Permutation.identity(3)
+
+    def test_call_gives_the_image(self):
+        p = Permutation((3, 1, 2))
+        assert [p(i) for i in (1, 2, 3)] == [3, 1, 2]
+
+    def test_compose_of_unequal_degrees(self):
+        with pytest.raises(DegreeMismatchError):
+            Permutation.identity(3).compose(Permutation.identity(4))
+
+    def test_lossy_image_is_rejected(self):
+        with pytest.raises(ValueError) as info:
+            Permutation((1.9, 2.2))
+        assert str(info.value) == "permutation image is not an integer: 1.9"
+
+    def test_images_whose_value_int_keeps_are_taken(self):
+        p = Permutation((Fraction(2), True, Decimal("3.0")))
+        assert p.images == (2, 1, 3)
+        assert all(type(x) is int for x in p.images)
 
 
 class TestHamming:
