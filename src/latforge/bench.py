@@ -6,7 +6,7 @@ from __future__ import annotations
 from decimal import Decimal
 from typing import Iterable, Sequence
 
-from .core import REAL, Basis, Record, _sqrt
+from .core import REAL, Basis, Record, _sqrt, format_real
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
 from .perm import apply, check_radius, sample_at_radius
@@ -35,13 +35,6 @@ class SweepResult(Record):
         lines = [",".join(("radius", *_REALS))]
         lines += (",".join(map(str, row.rendered().values())) for row in self.rows)
         return "\n".join(lines) + "\n"
-
-
-def format_real(x: Decimal) -> str:
-    """Fixed 12-significant-digit rendering; deterministic for a given value."""
-    if x == 0:
-        return "0"
-    return f"{x:.12g}"
 
 
 def summarize(radius: int, values: Sequence[Decimal]) -> SweepRow:

@@ -5,6 +5,8 @@ reads the bracketed lattice format via --in and honors --seed and --alpha
 (one LllParams, made in cli_main); sweep and freq write their table as CSV
 (--out-csv, stdout otherwise).  Each handler returns a builder of its report
 payload, which cli_main calls and writes only when --report is given.
+sweep and freq import the experiment harness (``bench``) when they run, so
+no other command loads it.
 Exit codes: 0 success, 1 usage or input error, 2 computation error.
 """
 
@@ -16,7 +18,6 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from . import serialize
-from .bench import improvement_frequency, radius_sweep
 from .core import DEFAULT_ENUM_BUDGET, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
@@ -189,6 +190,8 @@ def _cmd_hybrid(args, lattice: LatticeFile) -> Callable[[], dict]:
 
 
 def _cmd_sweep(args, lattice: LatticeFile) -> Callable[[], dict]:
+    from .bench import radius_sweep
+
     result = radius_sweep(
         lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
     )
@@ -197,6 +200,8 @@ def _cmd_sweep(args, lattice: LatticeFile) -> Callable[[], dict]:
 
 
 def _cmd_freq(args, lattice: LatticeFile) -> Callable[[], dict]:
+    from .bench import improvement_frequency
+
     freqs = improvement_frequency(
         lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
     )

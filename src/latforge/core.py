@@ -217,12 +217,19 @@ def int_str(x: int) -> str:
     return str(Decimal(x))
 
 
+def format_real(x: Decimal) -> str:
+    """Fixed 12-significant-digit rendering; deterministic for a given value."""
+    if x == 0:
+        return "0"
+    return f"{x:.12g}"
+
+
 def _quoted(given: object) -> str:
     """``given`` cut to 40 characters for an error message.  An int or
-    Fraction, also inside a list or dict, is rendered by ``int_str``: ``str``
-    fails past 4,300 digits.  Rendering stops at the cut, so a deep nesting
-    costs no more than a short one, and a long number no more than its
-    leading digits."""
+    Fraction, also inside a list, tuple or dict, is rendered by
+    ``int_str``: ``str`` fails past 4,300 digits.  Rendering stops at the
+    cut, so a deep nesting costs no more than a short one, and a long
+    number no more than its leading digits."""
     text = ""
     for piece in _pieces(given):
         text += piece
@@ -281,12 +288,13 @@ def _leading(x: int) -> str:
 
 
 def _pieces(given: object):
-    if isinstance(given, list):
-        yield "["
+    if isinstance(given, (list, tuple)):
+        is_list = isinstance(given, list)
+        yield "[" if is_list else "("
         for i, item in enumerate(given):
             yield ", " if i else ""
             yield from _pieces(item)
-        yield "]"
+        yield "]" if is_list else ",)" if len(given) == 1 else ")"
     elif isinstance(given, dict):
         yield "{"
         for i, (key, value) in enumerate(given.items()):
@@ -521,7 +529,9 @@ def svp_oracle(
     every minimum in the box is reached.
     """
     if coeff_bound < 1 or budget < 1:
-        raise ValueError(f"coeff_bound and budget must be >= 1, got {coeff_bound}, {budget}")
+        raise ValueError(
+            f"coeff_bound and budget must be >= 1, got {_quoted(coeff_bound)}, {_quoted(budget)}"
+        )
     box = (2 * coeff_bound + 1) ** b.m
     if box > budget:
         raise BoxTooLargeError(

@@ -15,7 +15,8 @@ from typing import Callable, Union
 
 from . import perm
 from .core import (
-    REAL, Basis, BasisMetrics, Record, gram_det, metrics, reduction_key, _exact_target, _sqrt,
+    REAL, Basis, BasisMetrics, Record, _exact_target, _quoted, _sqrt, gram_det, metrics,
+    reduction_key,
 )
 from .errors import DegreeMismatchError, InfeasibleRadiusError
 from .lll import LllParams, lll_reduce
@@ -99,7 +100,8 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
     if isinstance(kind, Psl2):
         if m != kind.prime + 1:
             raise DegreeMismatchError(
-                f"PSL(2,{kind.prime}) acts on {kind.prime + 1} points, basis rank is {m}"
+                f"PSL(2,{_quoted(kind.prime)}) acts on {_quoted(kind.prime + 1)} points, "
+                f"basis rank is {m}"
             )
         perm.check_prime(kind.prime)
         return lambda step: perm.psl2_permutations(
@@ -114,7 +116,7 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
     # from r0 = 0 only step 2 can land on the infeasible radius 1.
     if r0 == 0 and min(m, rstep) == 1 and cfg.max_steps > 1:
         raise InfeasibleRadiusError(
-            f"step 2 of the walk from r0 = 0 by rstep {rstep} has radius 1: "
+            f"step 2 of the walk from r0 = 0 by rstep {_quoted(rstep)} has radius 1: "
             f"no permutation of degree {m} moves exactly 1 point"
         )
 

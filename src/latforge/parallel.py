@@ -4,11 +4,18 @@ Every source of randomness in the toolkit is a ``random.Random`` built from
 ``derive_seed``, which hashes a root seed together with the structural
 position of the consumer (step index, block index, ...).  Results therefore
 depend only on the seed, and a run replays bit-for-bit.
+
+``blake2b`` comes from ``_blake2``, the module that ``hashlib`` itself takes
+it from: ``hashlib`` never hands BLAKE2 to OpenSSL, so ``hashlib.blake2b``
+is this very function and every seed is the one it gives.  Importing
+``hashlib`` would load OpenSSL's ``_hashlib`` and libcrypto as well, which a
+run never calls.  The import sits in ``derive_seed``, so a Python built
+without BLAKE2 fails when a seed is derived, as it did through ``hashlib``,
+and not when this module is imported.
 """
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 
@@ -18,8 +25,10 @@ def derive_seed(*parts: object) -> int:
     Uses blake2b over the repr of the parts; unlike ``hash()`` the result
     does not vary across processes or platforms.
     """
+    from _blake2 import blake2b
+
     payload = "\x1f".join(repr(p) for p in parts).encode()
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+    return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 
 def derive_rng(*parts: object) -> random.Random:

@@ -13,7 +13,7 @@ import enum
 import math
 import random
 
-from .core import Basis, Record, _exact_ints
+from .core import Basis, Record, _exact_ints, _quoted
 from .errors import (
     DegreeMismatchError,
     DegreeTooSmallError,
@@ -36,7 +36,7 @@ class Permutation(Record):
         object.__setattr__(self, "images", _exact_ints(self.images, "permutation image"))
         m = len(self.images)
         if sorted(self.images) != list(range(1, m + 1)):
-            raise ValueError(f"not a bijection on 1..{m}: {self.images}")
+            raise ValueError(f"not a bijection on 1..{m}: {_quoted(self.images)}")
 
     @property
     def degree(self) -> int:
@@ -102,7 +102,9 @@ def check_radius(m: int, r: int) -> None:
     """InfeasibleRadiusError unless some permutation of degree m moves
     exactly r points, that is unless r = 0 or 2 <= r <= m."""
     if r == 1 or r < 0 or r > m:
-        raise InfeasibleRadiusError(f"no permutation of degree {m} moves exactly {r} points")
+        raise InfeasibleRadiusError(
+            f"no permutation of degree {_quoted(m)} moves exactly {_quoted(r)} points"
+        )
 
 
 def sample_at_radius(m: int, r: int, rng: random.Random) -> Permutation:
@@ -129,7 +131,7 @@ def sample_at_radius(m: int, r: int, rng: random.Random) -> Permutation:
 def check_right_degree(m: int) -> None:
     """DegreeTooSmallError unless right sampling takes degree m (m >= 3)."""
     if m < 3:
-        raise DegreeTooSmallError(f"right sampling needs degree >= 3, got {m}")
+        raise DegreeTooSmallError(f"right sampling needs degree >= 3, got {_quoted(m)}")
 
 
 def sample_right(m: int, rng: random.Random) -> Permutation:
@@ -142,7 +144,7 @@ def sample_right(m: int, rng: random.Random) -> Permutation:
 def check_prime(p: int) -> None:
     """NotPrimeError unless p is prime, as PSL(2,p) sampling needs."""
     if p < 2 or any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
-        raise NotPrimeError(f"{p} is not prime")
+        raise NotPrimeError(f"{_quoted(p)} is not prime")
 
 
 def _moebius_permutation(a: int, b: int, c: int, d: int, p: int) -> Permutation:

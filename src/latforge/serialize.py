@@ -4,17 +4,23 @@ Entries and metric values are rendered as decimal strings: basis entries
 can be hundreds of digits long and must survive a round trip, and reports
 must be byte-identical across runs with the same seed.  Wall-clock fields
 are deliberately left out of these views for the same reason.
+
+``bench`` is named only in an annotation, so importing this module does not
+load the experiment harness.
 """
 
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .bench import SweepResult, format_real
-from .core import Basis, BasisMetrics, SvpResult, int_str
+from .core import Basis, BasisMetrics, SvpResult, format_real, int_str
 from .hillclimb import HcTrace
 from .ldsf import LdsfTrace
 from .pipeline import PipelineReport
+
+if TYPE_CHECKING:
+    from .bench import SweepResult
 
 
 def basis_entries(b: Basis) -> list[list[str]]:

@@ -45,6 +45,8 @@ class Mutant(NamedTuple):
 
 KERNEL = ("tests/test_lll.py::TestKernelMatchesReference",)
 RECORD = ("tests/test_core.py::TestRecord",)
+ONE_DET = ("tests/test_cli.py::TestOneDeterminantPerRun",)
+SEEDS = ("tests/test_imports.py::TestDeriveSeed",)
 
 MUTANTS = (
     # The integral LLL kernel, against the loop-form reference of helpers.py.
@@ -234,6 +236,100 @@ MUTANTS = (
             "tests/test_core.py::TestBasis::test_lossy_entry_is_rejected",
             "tests/test_perm.py::TestPermutation::test_lossy_image_is_rejected",
         ),
+    ),
+    # The stage-file boundary and the lattice reader.
+    Mutant(
+        "stage file: integers parsed by int()", "pipeline.py",
+        "            raw = json.load(fh, parse_int=lambda text: int(Decimal(text)))\n",
+        "            raw = json.load(fh)\n",
+        ("tests/test_cli.py::TestHybrid::test_integer_past_4300_digits_in_blocks",),
+    ),
+    Mutant(
+        "stage file: a bool taken as an integer", "pipeline.py",
+        "        if isinstance(value, bool) or not isinstance(value, int):\n",
+        "        if not isinstance(value, int):\n",
+        ("tests/test_cli.py::TestHybrid::test_bad_stage_entry_is_usage_error",),
+    ),
+    Mutant(
+        "lattice reader: any Unicode digit", "latfile.py",
+        r'_TOKEN = re.compile(r"([+-]?[0-9]+)|\S")',
+        r'_TOKEN = re.compile(r"([+-]?\d+)|\S")',
+        ("tests/test_latfile.py::TestParseErrors::test_position_reported",),
+    ),
+    Mutant(
+        "lattice reader: entries parsed by int()", "latfile.py",
+        "            row.append(int(Decimal(tok[1])))\n",
+        "            row.append(int(tok[1]))\n",
+        ("tests/test_latfile.py::TestParse::test_entry_longer_than_int_str_limit",),
+    ),
+    # Permutations and seeds.
+    Mutant(
+        "perm: only repeated images rejected", "perm.py",
+        "        if sorted(self.images) != list(range(1, m + 1)):\n",
+        "        if len(set(self.images)) != m:\n",
+        ("tests/test_perm.py::TestQuotedValues::test_short_images_read_as_the_tuple",),
+    ),
+    Mutant(
+        "perm: a shuffle with a fixed point accepted", "perm.py",
+        "        if all(a != b for a, b in zip(shuffled, positions)):\n",
+        "        if any(a != b for a, b in zip(shuffled, positions)):\n",
+        ("tests/test_perm.py::TestSampleAtRadius::test_exact_radius",),
+    ),
+    Mutant(
+        "derive_seed: little-endian", "parallel.py",
+        'digest_size=8).digest(), "big")',
+        'digest_size=8).digest(), "little")',
+        SEEDS,
+    ),
+    Mutant(
+        "derive_seed: 16-byte digest", "parallel.py",
+        "blake2b(payload, digest_size=8)",
+        "blake2b(payload, digest_size=16)",
+        SEEDS,
+    ),
+    # A caller's integer past 4,300 digits in a message.
+    Mutant(
+        "quoting: a tuple rendered by str", "core.py",
+        "    if isinstance(given, (list, tuple)):\n",
+        "    if isinstance(given, list):\n",
+        (
+            "tests/test_core.py::TestQuoted",
+            "tests/test_perm.py::TestQuotedValues::test_image_past_4300_digits",
+        ),
+    ),
+    Mutant(
+        "quoting: check_radius renders the radius by str", "perm.py",
+        "moves exactly {_quoted(r)} points",
+        "moves exactly {r} points",
+        (
+            "tests/test_perm.py::TestQuotedValues::test_radius_past_4300_digits",
+            "tests/test_hillclimb.py::TestFixed::test_radius_past_4300_digits",
+        ),
+    ),
+    Mutant(
+        "quoting: the PSL(2,p) degree check renders p by str", "hillclimb.py",
+        'f"PSL(2,{_quoted(kind.prime)}) acts on',
+        'f"PSL(2,{kind.prime}) acts on',
+        ("tests/test_hillclimb.py::TestPsl2Walk::test_prime_past_4300_digits",),
+    ),
+    # The determinant each search layer carries from the load check.
+    Mutant(
+        "carried det: hill_climb recomputes it", "hillclimb.py",
+        "    gram = gram_det(current) if gram is None else gram\n",
+        "    gram = gram_det(current)\n",
+        ONE_DET,
+    ),
+    Mutant(
+        "carried det: ldsf_run recomputes it", "ldsf.py",
+        "    check_right_degree(b.m)\n    gram = gram_det(b) if gram is None else gram\n",
+        "    check_right_degree(b.m)\n    gram = gram_det(b)\n",
+        ONE_DET,
+    ),
+    Mutant(
+        "carried det: run_pipeline recomputes it", "pipeline.py",
+        "    gram = gram_det(b0) if gram is None else gram\n",
+        "    gram = gram_det(b0)\n",
+        ONE_DET,
     ),
 )
 

@@ -646,6 +646,12 @@ class TestHnf:
 
 
 class TestSvpOracle:
+    def test_bound_past_4300_digits(self):
+        with pytest.raises(ValueError) as info:
+            svp_oracle(Basis.identity(2), -(10**5000))
+        cut = "-1" + "0" * 35 + "..."
+        assert str(info.value) == f"coeff_bound and budget must be >= 1, got {cut}, 10000000"
+
     def test_identity(self):
         res = svp_oracle(Basis.identity(3), 2)
         assert res.lambda1 == 1
@@ -736,6 +742,8 @@ def _full_text(given) -> str:
     """What ``_quoted`` cuts: every digit of every number rendered."""
     if isinstance(given, list):
         return "[" + ", ".join(map(_full_text, given)) + "]"
+    if isinstance(given, tuple):
+        return "(" + ", ".join(map(_full_text, given)) + ("," if len(given) == 1 else "") + ")"
     if isinstance(given, dict):
         return "{" + ", ".join(f"{_full_text(k)}: {_full_text(v)}" for k, v in given.items()) + "}"
     if isinstance(given, str):
@@ -773,15 +781,27 @@ class TestQuoted:
             [12345678901234567890123456789012345, -(10**100)],
             {"a": [Fraction(5, 10**4400 + 3)]},
             {10**4400: 1},
+            (10**5000, 1),
+            (10**5000,),
+            tuple(range(2, 3000)),
         ],
         ids=[
             "int", "negative-int", "long-numerator", "long-denominator",
             "denominator-past-cut", "in-list", "after-a-prefix", "in-dict", "dict-key",
+            "in-tuple", "in-1-tuple", "long-tuple",
         ],
     )
     def test_long_values_cut_as_full_text(self, given):
         assert len(_full_text(given)) > 40
         assert core._quoted(given) == _cut(_full_text(given))
+
+    @pytest.mark.parametrize(
+        "given", [(), (7,), (1, -2, 3), ("a", (1,), [2]), (*range(1, 12), 100)],
+        ids=["empty", "one", "ints", "nested", "at-the-cut"],
+    )
+    def test_short_tuples_read_as_str(self, given):
+        assert len(str(given)) <= 40
+        assert core._quoted(given) == str(given)
 
     def test_box_message(self):
         # The box (2 * (10**4000 - 1) + 1)**20 has 80,007 digits.

@@ -88,6 +88,12 @@ class TestFixed:
         with pytest.raises(InfeasibleRadiusError):
             hill_climb(b, cfg_fixed(1))
 
+    def test_radius_past_4300_digits(self):
+        with pytest.raises(InfeasibleRadiusError) as info:
+            hill_climb(uniform_basis(4, seed=1), cfg_fixed(10**5000))
+        cut = "1" + "0" * 36 + "..."
+        assert str(info.value) == f"no permutation of degree 4 moves exactly {cut} points"
+
     def test_default_target_is_det_bound(self):
         b = uniform_basis(6, -99, 99, seed=6)
         cfg = HcConfig(kind=FixedRadius(4), sample_size=3, max_steps=2, alpha=A34)
@@ -164,6 +170,17 @@ class TestVariable:
             var_steps.append(best_step(hill_climb(b, vcfg)))
         assert statistics.median(var_steps) <= statistics.median(fixed_steps)
 
+    def test_rstep_past_4300_digits(self):
+        cfg = HcConfig(
+            kind=VariableRadius(0, 10**5000), sample_size=2, max_steps=2, alpha=A34
+        )
+        with pytest.raises(InfeasibleRadiusError) as info:
+            hill_climb(Basis.identity(1), cfg)
+        assert str(info.value) == (
+            f"step 2 of the walk from r0 = 0 by rstep {'1' + '0' * 36}... has radius 1: "
+            "no permutation of degree 1 moves exactly 1 point"
+        )
+
     def test_rstep_validation(self):
         with pytest.raises(ValueError):
             HcConfig(
@@ -199,3 +216,12 @@ class TestPsl2Walk:
         )
         with pytest.raises(DegreeMismatchError):
             hill_climb(b, cfg)
+
+    def test_prime_past_4300_digits(self):
+        cfg = HcConfig(
+            kind=Psl2(10**5000), sample_size=2, max_steps=1, alpha=A34, target_bound=0
+        )
+        with pytest.raises(DegreeMismatchError) as info:
+            hill_climb(uniform_basis(4, seed=1), cfg)
+        cut = "1" + "0" * 36 + "..."
+        assert str(info.value) == f"PSL(2,{cut}) acts on {cut} points, basis rank is 4"

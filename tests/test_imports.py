@@ -12,10 +12,13 @@ Start-up is part of every run, so the library does not import
 ``dataclasses``: it loads ``inspect`` and builds each frozen record by
 ``exec``.  Both guards below keep it out.  For the same reason the package
 is a lazy namespace: naming ``core`` and ``lll`` loads those two and what
-they import, not the search layers.
+they import, not the search layers.  And neither the CLI nor the search
+layers load OpenSSL (``hashlib``) or the experiment harness
+(``latforge.bench``), which a run may never call.
 """
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
@@ -24,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import latforge
+from latforge.parallel import derive_seed
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted(ROOT.glob("src/**/*.py"))
@@ -197,10 +201,64 @@ def test_cli_import_loads_the_modules_the_tracer_indexes():
     assert {f"latforge.{m}" for m in traced.split()} <= set(loaded)
 
 
+START_UP_LEFTOVERS = {"hashlib", "_hashlib", "latforge.bench"}
+
+
+@pytest.mark.parametrize("statement", ["import latforge.cli", "from latforge import hill_climb"])
+def test_import_loads_no_openssl_or_harness(statement):
+    loaded = modules_after(statement, START_UP_LEFTOVERS)
+    assert "latforge.parallel" in loaded
+    assert START_UP_LEFTOVERS.isdisjoint(loaded)
+
+
 def test_library_import_loads_only_the_named_modules():
-    # The certify driver's import: no search layer, and no hashlib (parallel).
+    # The certify driver's import: no search layer, so not ``parallel`` and
+    # its seeding; hashlib is watched as well, though no latforge module imports it.
     loaded = modules_after("from latforge import core, latfile, lll", {"hashlib"})
     assert loaded == ["latforge", *(f"latforge.{m}" for m in ("core", "errors", "latfile", "lll"))]
+
+
+@pytest.fixture
+def uncapped_int_str():
+    """Lift Python's 4,300-digit cap on int-to-str, which ``repr`` obeys too."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    yield
+    if cap:
+        sys.set_int_max_str_digits(cap)
+
+
+class TestDeriveSeed:
+    """``derive_seed`` takes blake2b from ``_blake2``, not from hashlib; its
+    values are hashlib's."""
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            (0,), (2**64 + 1,), (-7,), (7 * (10**5000 - 1) // 9,), ("hc",), ("",),
+            ("uniform", 4, -999, 999, 1), (3, ("a", 1), (), "\x1f"), (),
+        ],
+        ids=[
+            "zero", "past-64-bits", "negative", "5000-digits", "string", "empty-string",
+            "generator-key", "tuples", "no-parts",
+        ],
+    )
+    def test_values_are_hashlibs(self, uncapped_int_str, parts):
+        payload = "\x1f".join(repr(p) for p in parts).encode()
+        expected = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+        assert derive_seed(*parts) == expected
+
+    @pytest.mark.parametrize(
+        "parts,seed",
+        [
+            ((0,), 9523843951405948789),
+            (("hc", 3, 2), 2422852434027451345),
+            ((901, "stage", 1, "perms"), 7235996162063207744),
+        ],
+    )
+    def test_pinned_values(self, parts, seed):
+        assert derive_seed(*parts) == seed
 
 
 class TestLazyNamespace:

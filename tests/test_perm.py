@@ -69,6 +69,46 @@ class TestPermutation:
         assert all(type(x) is int for x in p.images)
 
 
+# Python's str() of an int fails past 4,300 digits; a message quotes the
+# leading digits of such a value, cut to 40 characters.
+HUGE = 10**5000
+HUGE_CUT = "1" + "0" * 36 + "..."
+
+
+class TestQuotedValues:
+    def test_radius_past_4300_digits(self):
+        with pytest.raises(InfeasibleRadiusError) as info:
+            check_radius(5, HUGE)
+        assert str(info.value) == f"no permutation of degree 5 moves exactly {HUGE_CUT} points"
+
+    def test_image_past_4300_digits(self):
+        with pytest.raises(ValueError) as info:
+            Permutation((HUGE, 1))
+        assert str(info.value) == f"not a bijection on 1..2: ({HUGE_CUT[:36]}..."
+
+    def test_many_images_are_cut(self):
+        images = tuple(range(2, 3000))
+        with pytest.raises(ValueError) as info:
+            Permutation(images)
+        assert str(info.value) == f"not a bijection on 1..2998: {str(images)[:37]}..."
+
+    @pytest.mark.parametrize("images", [(2,), (1, 1, 3), (0, 1), tuple(range(2, 14))])
+    def test_short_images_read_as_the_tuple(self, images):
+        with pytest.raises(ValueError) as info:
+            Permutation(images)
+        assert str(info.value) == f"not a bijection on 1..{len(images)}: {images}"
+
+    def test_prime_past_4300_digits(self):
+        with pytest.raises(NotPrimeError) as info:
+            psl2_permutations(HUGE, 1, derive_rng(0))
+        assert str(info.value) == f"{HUGE_CUT} is not prime"
+
+    def test_right_degree_past_4300_digits(self):
+        with pytest.raises(DegreeTooSmallError) as info:
+            sample_right(-HUGE, derive_rng(0))
+        assert str(info.value) == f"right sampling needs degree >= 3, got -{HUGE_CUT[:36]}..."
+
+
 class TestHamming:
     def test_identity_distance_zero(self):
         p = Permutation.identity(5)
