@@ -20,8 +20,7 @@ _MODULE_OF = {
         "core": "Basis BasisMetrics SvpResult metrics gram_det hnf same_lattice "
         "svp_oracle is_independent reduction_key",
         "lll": "LllParams lll_reduce is_lll_reduced",
-        "perm": "Permutation RadiusClass Side hamming_distance radius sample_at_radius "
-        "sample_right count_at_radius psl2_permutations apply",
+        "perm": "Permutation sample_at_radius sample_right psl2_permutations apply",
         "hillclimb": "FixedRadius VariableRadius Psl2 HcConfig HcStep HcTrace det_bound hill_climb",
         "ldsf": "LdsfConfig LdsfRound LdsfTrace diffuse fuse ldsf_run",
         "pipeline": "StageSpec StageReport PipelineReport default_four_stage run_pipeline",

@@ -18,16 +18,20 @@ from __future__ import annotations
 
 import random
 
+from .core import int_str
+
 
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit seed from a tuple of hashable-ish parts.
 
-    Uses blake2b over the repr of the parts; unlike ``hash()`` the result
-    does not vary across processes or platforms.
+    Uses blake2b over the parts as text; unlike ``hash()`` the result does
+    not vary across processes or platforms.  An ``int`` part is rendered by
+    ``int_str``, its ``repr`` without the 4,300-digit cap, so a seed of any
+    length works; any other part, ``bool`` too, by ``repr``.
     """
     from _blake2 import blake2b
 
-    payload = "\x1f".join(repr(p) for p in parts).encode()
+    payload = "\x1f".join(int_str(p) if type(p) is int else repr(p) for p in parts).encode()
     return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 

@@ -1,15 +1,15 @@
-"""Permutations of basis rows as a metric space.
+"""Permutations of basis rows and the samplers that walk S_m.
 
-The distance between two permutations is the Hamming distance of their
-Cartesian forms; the radius of a permutation is its distance from the
-identity, i.e. its number of non-fixed points.  Radii split S_m into left
-(r <= m/2) and right (r > m/2) permutations, and the samplers here draw
-uniformly from the sphere of a given radius.
+The radius of a permutation is its Hamming distance from the identity,
+i.e. its number of non-fixed points.  Radii split S_m into left
+(r <= m/2) and right (r > m/2) permutations.  ``sample_at_radius`` draws
+uniformly from the sphere of one radius, ``sample_right`` from the right
+half, and ``psl2_permutations`` from PSL(2,p) acting on the projective
+line; ``apply`` reorders the rows of a basis by a permutation.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 
@@ -20,11 +20,6 @@ from .errors import (
     InfeasibleRadiusError,
     NotPrimeError,
 )
-
-
-class Side(enum.Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class Permutation(Record):
@@ -45,57 +40,9 @@ class Permutation(Record):
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """(self . other)(i) = self(other(i))."""
-        if self.degree != other.degree:
-            raise DegreeMismatchError("cannot compose permutations of unequal degree")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
     @classmethod
     def identity(cls, m: int) -> "Permutation":
         return cls(tuple(range(1, m + 1)))
-
-
-class RadiusClass(Record):
-    radius: int
-    side: Side
-
-
-def hamming_distance(x: Permutation, y: Permutation) -> int:
-    if x.degree != y.degree:
-        raise DegreeMismatchError(
-            f"degrees differ: {x.degree} vs {y.degree}"
-        )
-    return sum(a != b for a, b in zip(x.images, y.images))
-
-
-def radius(p: Permutation) -> RadiusClass:
-    """Hamming distance from the identity; left iff r <= m/2 (ties left)."""
-    r = sum(img != i for i, img in enumerate(p.images, start=1))
-    side = Side.LEFT if 2 * r <= p.degree else Side.RIGHT
-    return RadiusClass(radius=r, side=side)
-
-
-def derangement_count(r: int) -> int:
-    d_prev, d = 1, 0  # D_0, D_1
-    if r == 0:
-        return 1
-    for k in range(2, r + 1):
-        d_prev, d = d, (k - 1) * (d + d_prev)
-    return d
-
-
-def count_at_radius(m: int, r: int) -> int:
-    """Number of permutations in S_m at exact radius r: C(m,r) * D_r."""
-    if r < 0 or r > m:
-        return 0
-    return math.comb(m, r) * derangement_count(r)
 
 
 def check_radius(m: int, r: int) -> None:

@@ -35,12 +35,19 @@ lattice format that ``parse_lattice`` replaced with one token regex: it
 walks the text one Python call per character, tracking line and column as
 it goes.  The two must agree on every text, in rows and ``gram`` or in the
 error raised and its position.
+
+The S_m metric that the samplers of ``latforge.perm`` walk is written out
+here, reading only ``Permutation.images`` and importing nothing from that
+module: ``moved_points`` (the radius) and ``side``, ``hamming``, the sphere
+size ``count_at_radius`` in closed form next to ``brute_force_count``, and
+``compose``/``inverse`` on image tuples.
 """
 
 from __future__ import annotations
 
 import decimal
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -49,6 +56,7 @@ from fractions import Fraction
 from latforge import (
     Basis,
     BasisMetrics,
+    DegreeMismatchError,
     DependentRowsError,
     LatticeFile,
     LllParams,
@@ -86,6 +94,53 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if g < 0:
         g, x = -g, -x
     return x, (g - x * a) // b if b else 0, g
+
+
+def moved_points(p) -> int:
+    """The radius of ``p``: its Hamming distance from the identity."""
+    return sum(img != i for i, img in enumerate(p.images, start=1))
+
+
+def side(p) -> str:
+    """"left" when the radius is at most half the degree (ties left), else "right"."""
+    return "left" if 2 * moved_points(p) <= len(p.images) else "right"
+
+
+def hamming(x, y) -> int:
+    """Number of points on which ``x`` and ``y`` disagree."""
+    if len(x.images) != len(y.images):
+        raise DegreeMismatchError(f"degrees differ: {len(x.images)} vs {len(y.images)}")
+    return sum(a != b for a, b in zip(x.images, y.images))
+
+
+def brute_force_count(m: int, r: int) -> int:
+    """Permutations of degree m that move exactly r points, by listing S_m."""
+    identity = tuple(range(1, m + 1))
+    return sum(
+        1
+        for images in itertools.permutations(identity)
+        if sum(a != b for a, b in zip(images, identity)) == r
+    )
+
+
+def count_at_radius(m: int, r: int) -> int:
+    """C(m, r) * D_r, with the derangement number D_r = sum_k (-1)^k r!/k!."""
+    if r < 0 or r > m:
+        return 0
+    derangements = sum((-1) ** k * math.factorial(r) // math.factorial(k) for k in range(r + 1))
+    return math.comb(m, r) * derangements
+
+
+def compose(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of f . g, that is i -> f(g(i)), from the image tuples of f and g."""
+    if len(f) != len(g):
+        raise DegreeMismatchError("cannot compose permutations of unequal degree")
+    return tuple(f[j - 1] for j in g)
+
+
+def inverse(f: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of the inverse of the permutation with images ``f``."""
+    return tuple(sorted(range(1, len(f) + 1), key=lambda i: f[i - 1]))
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,120 @@ MUTANTS = (
         'f"PSL(2,{kind.prime}) acts on',
         ("tests/test_hillclimb.py::TestPsl2Walk::test_prime_past_4300_digits",),
     ),
+    Mutant(
+        "derive_seed: an int part rendered by repr", "parallel.py",
+        "int_str(p) if type(p) is int else repr(p)",
+        "repr(p)",
+        (
+            "tests/test_imports.py::TestDeriveSeed::test_seed_past_4300_digits_under_the_cap",
+            "tests/test_hillclimb.py::TestFixed::test_seed_past_4300_digits",
+        ),
+    ),
+    Mutant(
+        "derive_seed: a bool part rendered as an int", "parallel.py",
+        "int_str(p) if type(p) is int else repr(p)",
+        "int_str(p) if isinstance(p, int) else repr(p)",
+        SEEDS,
+    ),
+    # The choices of the search layers (ROADMAP item 5).
+    Mutant(
+        "hill_climb: the first candidate taken", "hillclimb.py",
+        "        j = min(range(len(candidates)), key=keyed.__getitem__)\n",
+        "        j = 0\n",
+        (
+            "tests/test_hillclimb.py::TestFixed::test_each_step_moves_to_the_least_key",
+            "tests/test_hillclimb.py::TestVariable::test_soft_runtime_claim_on_pinned_seeds",
+        ),
+    ),
+    Mutant(
+        "hill_climb: an equal key counts as improved", "hillclimb.py",
+        "        improved = keyed[j] < best_key\n",
+        "        improved = keyed[j] <= best_key\n",
+        ("tests/test_hillclimb.py::TestFixed::test_identity_already_optimal",),
+    ),
+    Mutant(
+        "ldsf_run: a tied round replaces the best", "ldsf.py",
+        "            if best_sq is None or fused_min_sq < best_sq:\n",
+        "            if best_sq is None or fused_min_sq <= best_sq:\n",
+        ("tests/test_ldsf.py::TestRun::test_a_tied_round_keeps_the_earlier_best",),
+    ),
+    Mutant(
+        "ldsf_run: the first round never replaced", "ldsf.py",
+        "            if best_sq is None or fused_min_sq < best_sq:\n",
+        "            if best_sq is None:\n",
+        ("tests/test_ldsf.py::TestRun::test_best_norm_is_running_min",),
+    ),
+    Mutant(
+        "sigma stage: the first candidate kept", "pipeline.py",
+        "            _, best = min(candidates, key=lambda c: reduction_key(c[1].final_basis))\n",
+        "            _, best = candidates[0]\n",
+        ("tests/test_pipeline.py::TestSigmaStageDecisions::test_keeps_the_least_reduction_key",),
+    ),
+    Mutant(
+        "_trace_extrema: lub the max of longest", "pipeline.py",
+        "        min(f.longest for f in fused),\n",
+        "        max(f.longest for f in fused),\n",
+        (
+            "tests/test_pipeline.py::TestSigmaStageDecisions"
+            "::test_llb_and_lub_are_the_least_fused_values",
+        ),
+    ),
+    Mutant(
+        "summarize: sigma over n - 1", "bench.py",
+        "for v in values), Decimal(0)), n\n",
+        "for v in values), Decimal(0)), n - 1\n",
+        ("tests/test_bench.py::TestSummarize::test_small_sample",),
+    ),
+    Mutant(
+        "freq: a tie counts as a win", "bench.py",
+        "            _shortest_sq_after(b_star, r, alpha, seed, i) < base_sq\n",
+        "            _shortest_sq_after(b_star, r, alpha, seed, i) <= base_sq\n",
+        (
+            "tests/test_bench.py::TestImprovementFrequency::test_identity_never_improves",
+            "tests/test_bench.py::TestImprovementFrequency::test_radius_zero_never_improves",
+        ),
+    ),
+    # The CLI's exit mapping, the report views and the generators.
+    Mutant(
+        "cli: a computation failure exits 1", "cli.py",
+        'computation failed: {exc}", file=sys.stderr)\n        return 2\n',
+        'computation failed: {exc}", file=sys.stderr)\n        return 1\n',
+        ("tests/test_cli.py::TestOracle::test_budget_exceeded_is_computation_error",),
+    ),
+    Mutant(
+        "serialize: the permutation of an hc step dropped", "serialize.py",
+        '                "permutation": list(s.permutation.images),\n',
+        "",
+        ("tests/test_cli.py::TestHc::test_rstep_schedule",),
+    ),
+    Mutant(
+        "gen: a dependent first draw kept", "gen.py",
+        "        if is_independent(b):\n            return b\n",
+        "        return b\n",
+        ("tests/test_gen.py::TestUniform::test_dependent_draws_are_resampled",),
+    ),
+    Mutant(
+        "gen: knapsack weights drawn from 1", "gen.py",
+        "rng.randint(1 << (bits - 1), (1 << bits) - 1)",
+        "rng.randint(1, (1 << bits) - 1)",
+        ("tests/test_gen.py::TestKnapsack",),
+    ),
+    # Stopping bounds and lattice equality.
+    Mutant(
+        "_exact_target: an int converted through str", "core.py",
+        "        exact = Decimal(value if type(value) is int else str(value))\n",
+        "        exact = Decimal(str(value))\n",
+        (
+            "tests/test_hillclimb.py::TestFixed::test_target_past_4300_digits",
+            "tests/test_ldsf.py::TestRun::test_target_past_4300_digits",
+        ),
+    ),
+    Mutant(
+        "same_lattice: equal determinants taken for equal lattices", "core.py",
+        "    return hnf(a).rows == hnf(b).rows\n",
+        "    return gram_det(a) == gram_det(b)\n",
+        ("tests/test_core.py::TestHnf::test_equal_determinants_of_different_lattices",),
+    ),
     # The determinant each search layer carries from the load check.
     Mutant(
         "carried det: hill_climb recomputes it", "hillclimb.py",

@@ -17,7 +17,6 @@ from latforge import (
     HcConfig,
     LdsfConfig,
     LllParams,
-    count_at_radius,
     default_four_stage,
     hill_climb,
     hnf,
@@ -27,7 +26,6 @@ from latforge import (
     ldsf_run,
     lll_reduce,
     metrics,
-    radius,
     run_pipeline,
     sample_at_radius,
     svp_oracle,
@@ -37,6 +35,8 @@ from latforge.cli import cli_main
 from latforge.latfile import save_lattice
 from latforge.parallel import derive_rng
 from latforge.serialize import ldsf_trace_dict
+
+from helpers import count_at_radius, moved_points
 
 ALPHAS = [LllParams(Fraction(3, 4)), LllParams("9/10"), LllParams("9999/10000")]
 A34 = LllParams(Fraction(3, 4))
@@ -115,7 +115,7 @@ def test_criterion_04_sampler_exactness_and_uniformity():
         observed = Counter()
         for _ in range(draws):
             p = sample_at_radius(6, r, rng)
-            if radius(p).radius != r:
+            if moved_points(p) != r:
                 radius_violations += 1
             observed[p.images] += 1
         table = [observed.get(p, 0) for p in spheres[r]]

@@ -559,6 +559,12 @@ class TestHnf:
         assert same_lattice(other, b)
         assert same_lattice_oracle(other, b)
 
+    def test_equal_determinants_of_different_lattices(self):
+        a, b = Basis(((1, 0), (0, 2))), Basis(((2, 0), (0, 1)))
+        assert gram_det(a) == gram_det(b)
+        assert not same_lattice(a, b)
+        assert not same_lattice_oracle(a, b)
+
     def test_fast_path_matches_echelon(self):
         agree = self.agree
         rng = derive_rng("hnf-agree")

@@ -18,12 +18,13 @@ from latforge import (
     knapsack_basis,
     lll_reduce,
     metrics,
-    radius,
+    reduction_key,
     uniform_basis,
 )
+from latforge import hillclimb
 from latforge.serialize import hc_trace_dict
 
-from helpers import _gram_det_bareiss, reference_metrics
+from helpers import _gram_det_bareiss, moved_points, reference_metrics
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -83,6 +84,29 @@ class TestFixed:
         assert trace.target_bound == 10**5000
         assert (trace.reached_target, trace.steps) == (True, ())
 
+    def test_each_step_moves_to_the_least_key(self, monkeypatch):
+        reduced = []
+
+        def recording(*args):
+            reduced.append(lll_reduce(*args))
+            return reduced[-1]
+
+        monkeypatch.setattr(hillclimb, "lll_reduce", recording)
+        trace = hill_climb(uniform_basis(8, -99, 99, seed=3), cfg_fixed(5, k=4, p=3))
+        # The first reduction is of the input; each step then reduces k candidates.
+        steps = [reduced[1 + 4 * i : 5 + 4 * i] for i in range(3)]
+        keys = [[reduction_key(c) for c in step] for step in steps]
+        assert any(min(k) < k[0] for k in keys)  # so taking the first would differ
+        assert [s.basis for s in trace.steps] == [
+            step[k.index(min(k))] for step, k in zip(steps, keys)
+        ]
+
+    def test_seed_past_4300_digits(self):
+        b = uniform_basis(6, -99, 99, seed=6)
+        trace = hill_climb(b, cfg_fixed(3, k=2, p=2, seed=10**5000))
+        assert len(trace.steps) == 2
+        assert hnf(trace.best_basis) == hnf(b)
+
     def test_infeasible_radius(self):
         b = uniform_basis(6, -9, 9, seed=5)
         with pytest.raises(InfeasibleRadiusError):
@@ -133,7 +157,7 @@ class TestVariable:
             seed=0,
         )
         trace = hill_climb(b, cfg)
-        assert [radius(s.permutation).radius for s in trace.steps] == [6, 8, 10, 10]
+        assert [moved_points(s.permutation) for s in trace.steps] == [6, 8, 10, 10]
 
     def test_start_at_full_radius_stays_clamped(self):
         b = uniform_basis(6, -99, 99, seed=9)
@@ -146,7 +170,7 @@ class TestVariable:
             seed=0,
         )
         trace = hill_climb(b, cfg)
-        assert [radius(s.permutation).radius for s in trace.steps] == [6, 6, 6]
+        assert [moved_points(s.permutation) for s in trace.steps] == [6, 6, 6]
 
     def test_soft_runtime_claim_on_pinned_seeds(self):
         # Soft median-of-seeds check; steps-to-best is the deterministic

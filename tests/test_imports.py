@@ -19,6 +19,7 @@ layers load OpenSSL (``hashlib``) or the experiment harness
 
 import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -114,6 +115,24 @@ def private_latforge_imports(source: str) -> list[str]:
 def test_oracles_import_no_private_name():
     source = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
     assert private_latforge_imports(source) == []
+
+
+def test_oracles_import_nothing_from_perm():
+    # The S_m metric in helpers.py checks the samplers of latforge.perm.
+    tree = ast.parse((ROOT / "tests" / "helpers.py").read_text(encoding="utf-8"))
+    taken = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("latforge")
+        for alias in node.names
+    ]
+    assert taken
+    from_perm = []
+    for module, name in taken:
+        value = getattr(importlib.import_module(module), name)
+        if "latforge.perm" in (module, getattr(value, "__module__", module)):
+            from_perm.append(f"{module}.{name}")
+    assert from_perm == []
 
 
 @pytest.mark.parametrize(
@@ -237,17 +256,24 @@ class TestDeriveSeed:
         "parts",
         [
             (0,), (2**64 + 1,), (-7,), (7 * (10**5000 - 1) // 9,), ("hc",), ("",),
-            ("uniform", 4, -999, 999, 1), (3, ("a", 1), (), "\x1f"), (),
+            ("uniform", 4, -999, 999, 1), (3, ("a", 1), (), "\x1f"), (), (True, 0, False),
         ],
         ids=[
             "zero", "past-64-bits", "negative", "5000-digits", "string", "empty-string",
-            "generator-key", "tuples", "no-parts",
+            "generator-key", "tuples", "no-parts", "bools",
         ],
     )
     def test_values_are_hashlibs(self, uncapped_int_str, parts):
         payload = "\x1f".join(repr(p) for p in parts).encode()
         expected = int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
         assert derive_seed(*parts) == expected
+
+    def test_seed_past_4300_digits_under_the_cap(self):
+        # The "5000-digits" row, with Python's int-to-str cap in force: its
+        # repr is 5,000 sevens, spelled here without converting an int.
+        assert 0 < sys.get_int_max_str_digits() < 5000
+        expected = int.from_bytes(hashlib.blake2b(b"7" * 5000, digest_size=8).digest(), "big")
+        assert derive_seed(7 * (10**5000 - 1) // 9) == expected
 
     @pytest.mark.parametrize(
         "parts,seed",

@@ -134,6 +134,13 @@ class TestRun:
             r.fused_metrics.shortest for r in trace.rounds
         )
 
+    def test_a_tied_round_keeps_the_earlier_best(self):
+        # Every fused round of the identity basis has shortest row 1.
+        trace = ldsf_run(Basis.identity(6), cfg(servers=2, inner=3))
+        assert [r.fused_metrics.shortest for r in trace.rounds] == [1, 1, 1]
+        assert trace.rounds[-1].fused_basis != trace.rounds[0].fused_basis
+        assert trace.best_basis == trace.rounds[0].fused_basis
+
     def test_block_count_decrements_and_size_grows(self):
         b = uniform_basis(12, -99, 99, seed=9)
         trace = ldsf_run(b, cfg(servers=3, inner=1, outer=3))

@@ -1,4 +1,3 @@
-import itertools
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -14,13 +13,9 @@ from latforge import (
     InfeasibleRadiusError,
     NotPrimeError,
     Permutation,
-    Side,
     apply,
-    count_at_radius,
-    hamming_distance,
     hnf,
     psl2_permutations,
-    radius,
     sample_at_radius,
     sample_right,
     uniform_basis,
@@ -28,16 +23,17 @@ from latforge import (
 from latforge.parallel import derive_rng
 from latforge.perm import check_radius
 
+from helpers import (
+    brute_force_count,
+    compose,
+    count_at_radius,
+    hamming,
+    inverse,
+    moved_points,
+    side,
+)
+
 perms8 = st.permutations(list(range(1, 9))).map(lambda xs: Permutation(tuple(xs)))
-
-
-def brute_force_count(m: int, r: int) -> int:
-    identity = tuple(range(1, m + 1))
-    return sum(
-        1
-        for images in itertools.permutations(identity)
-        if sum(a != b for a, b in zip(images, identity)) == r
-    )
 
 
 class TestPermutation:
@@ -46,9 +42,9 @@ class TestPermutation:
             Permutation((1, 1, 3))
 
     def test_inverse_and_compose(self):
-        p = Permutation((3, 1, 2))
-        assert p.compose(p.inverse()) == Permutation.identity(3)
-        assert p.inverse().compose(p) == Permutation.identity(3)
+        p = Permutation((3, 1, 2)).images
+        assert compose(p, inverse(p)) == Permutation.identity(3).images
+        assert compose(inverse(p), p) == Permutation.identity(3).images
 
     def test_call_gives_the_image(self):
         p = Permutation((3, 1, 2))
@@ -56,7 +52,7 @@ class TestPermutation:
 
     def test_compose_of_unequal_degrees(self):
         with pytest.raises(DegreeMismatchError):
-            Permutation.identity(3).compose(Permutation.identity(4))
+            compose(Permutation.identity(3).images, Permutation.identity(4).images)
 
     def test_lossy_image_is_rejected(self):
         with pytest.raises(ValueError) as info:
@@ -112,47 +108,45 @@ class TestQuotedValues:
 class TestHamming:
     def test_identity_distance_zero(self):
         p = Permutation.identity(5)
-        assert hamming_distance(p, p) == 0
+        assert hamming(p, p) == 0
 
     def test_transposition(self):
-        assert hamming_distance(Permutation((2, 1, 3, 4)), Permutation.identity(4)) == 2
+        assert hamming(Permutation((2, 1, 3, 4)), Permutation.identity(4)) == 2
 
     def test_three_cycles(self):
-        assert hamming_distance(Permutation((2, 3, 1)), Permutation((3, 1, 2))) == 3
+        assert hamming(Permutation((2, 3, 1)), Permutation((3, 1, 2))) == 3
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
-            hamming_distance(Permutation.identity(3), Permutation.identity(4))
+            hamming(Permutation.identity(3), Permutation.identity(4))
 
     @given(perms8, perms8)
     def test_symmetry(self, x, y):
-        assert hamming_distance(x, y) == hamming_distance(y, x)
+        assert hamming(x, y) == hamming(y, x)
 
     @given(perms8, perms8)
     def test_identity_of_indiscernibles(self, x, y):
-        assert (hamming_distance(x, y) == 0) == (x == y)
+        assert (hamming(x, y) == 0) == (x == y)
 
     @settings(max_examples=200)
     @given(perms8, perms8, perms8)
     def test_triangle_inequality(self, x, y, z):
-        assert hamming_distance(x, z) <= hamming_distance(x, y) + hamming_distance(y, z)
+        assert hamming(x, z) <= hamming(x, y) + hamming(y, z)
 
 
 class TestRadius:
     def test_identity_left(self):
-        rc = radius(Permutation.identity(10))
-        assert rc.radius == 0 and rc.side == Side.LEFT
+        p = Permutation.identity(10)
+        assert moved_points(p) == 0 and side(p) == "left"
 
     def test_boundary_inclusive_left(self):
         # r = 5 on m = 10 sits exactly on m/2 and is classified left
         p = sample_at_radius(10, 5, derive_rng("radius-5"))
-        rc = radius(p)
-        assert rc.radius == 5 and rc.side == Side.LEFT
+        assert moved_points(p) == 5 and side(p) == "left"
 
     def test_right_above_half(self):
         p = sample_at_radius(10, 6, derive_rng("radius-6"))
-        rc = radius(p)
-        assert rc.radius == 6 and rc.side == Side.RIGHT
+        assert moved_points(p) == 6 and side(p) == "right"
 
 
 class TestCountAtRadius:
@@ -190,7 +184,7 @@ class TestSampleAtRadius:
         for _ in range(500):
             m = rng.randint(3, 9)
             r = rng.choice([x for x in range(m + 1) if x != 1])
-            assert radius(sample_at_radius(m, r, rng)).radius == r
+            assert moved_points(sample_at_radius(m, r, rng)) == r
 
     def test_transpositions_uniform(self):
         # the 15 permutations of S6 at distance 2 are the transpositions
@@ -213,28 +207,28 @@ class TestSampleRight:
             sample_right(2, derive_rng(0))
 
     def test_degree_three(self):
-        radii = {radius(sample_right(3, derive_rng(i))).radius for i in range(50)}
+        radii = {moved_points(sample_right(3, derive_rng(i))) for i in range(50)}
         assert radii <= {2, 3}
 
     def test_always_right(self):
         for i in range(300):
-            assert radius(sample_right(10, derive_rng("right", i))).radius > 5
+            assert moved_points(sample_right(10, derive_rng("right", i))) > 5
 
     def test_reproducible(self):
         assert sample_right(9, derive_rng(7)) == sample_right(9, derive_rng(7))
 
 
 def closure_size(perms):
-    seen = {Permutation.identity(perms[0].degree)}
+    seen = {Permutation.identity(perms[0].degree).images}
     frontier = list(seen)
-    gens = set(perms)
+    gens = {q.images for q in perms}
     seen |= gens
     frontier = list(gens)
     while frontier:
         nxt = []
         for g in gens:
             for h in frontier:
-                f = g.compose(h)
+                f = compose(g, h)
                 if f not in seen:
                     seen.add(f)
                     nxt.append(f)
@@ -266,7 +260,7 @@ class TestApply:
     def test_group_action_roundtrip(self):
         b = uniform_basis(5, -9, 9, seed=2)
         p = Permutation((3, 5, 1, 2, 4))
-        assert apply(apply(b, p), p.inverse()) == b
+        assert apply(apply(b, p), Permutation(inverse(p.images))) == b
 
     def test_lattice_invariant(self):
         b = uniform_basis(5, -9, 9, seed=3)

@@ -13,10 +13,13 @@ from latforge import (
     is_lll_reduced,
     knapsack_basis,
     lll_reduce,
+    reduction_key,
     run_pipeline,
     svp_oracle,
     uniform_basis,
 )
+from latforge import pipeline
+from latforge.ldsf import sigma_candidates
 from latforge.pipeline import KIND_LDSF, KIND_LLL, KIND_SIGMA, stage_from_dict
 
 from helpers import reference_metrics
@@ -150,6 +153,41 @@ class TestRun:
         report = run_pipeline(b, default_four_stage(2, 2, 1, A34), seed=2)
         assert len(report.stage_reports) == 4
         assert all(s.seconds >= 0 for s in report.stage_reports)
+
+
+class TestSigmaStageDecisions:
+    """What a sigma stage keeps of its candidates, and what it reports."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        """The stage report of a sigma stage, and the candidates it saw."""
+        seen = []
+
+        def recording(*args):
+            out = sigma_candidates(*args)
+            seen.extend(out)
+            return out
+
+        monkeypatch.setattr(pipeline, "sigma_candidates", recording)
+        b = uniform_basis(9, -999, 999, seed=15)
+        stage = StageSpec(kind=KIND_SIGMA, alpha=A34, blocks=3, sample_n=3, inner_iters=2)
+        report = run_pipeline(b, [stage], seed=0)
+        return report, [trace for _, trace in seen]
+
+    def test_keeps_the_least_reduction_key(self, run):
+        report, traces = run
+        keys = [reduction_key(t.final_basis) for t in traces]
+        least = keys.index(min(keys))
+        assert least > 0  # so keeping the first candidate would differ
+        assert report.final_basis == traces[least].final_basis
+
+    def test_llb_and_lub_are_the_least_fused_values(self, run):
+        report, traces = run
+        fused = [r.fused_metrics for t in traces for r in t.rounds]
+        longest = [f.longest for f in fused]
+        assert min(longest) < max(longest)
+        assert report.stage_reports[0].lub == min(longest)
+        assert report.stage_reports[0].llb == min(f.shortest for f in fused)
 
 
 class TestSerialization:
