@@ -18,7 +18,7 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from . import serialize
-from .core import DEFAULT_ENUM_BUDGET, metrics, svp_oracle
+from .core import DEFAULT_ENUM_BUDGET, _quoted, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
 from .latfile import LatticeFile, load_lattice
@@ -39,13 +39,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _int(text: str) -> int:
+    # argparse's own int message, but a text past 40 characters is cut:
+    # int() rejects one of over 4,300 digits, which argparse quotes in full.
+    try:
+        return int(text)
+    except ValueError:
+        shown = repr(text) if len(text) <= 40 else _quoted(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}") from None
+
+
 def _radii(text: str) -> list[int]:
     try:
         radii = [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad radius list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad radius list {_quoted(text)}") from exc
     if not radii:
-        raise argparse.ArgumentTypeError(f"radius list {text!r} names no radius")
+        raise argparse.ArgumentTypeError(f"radius list {_quoted(text)} names no radius")
     return radii
 
 
@@ -53,9 +63,9 @@ def _decimal(text: str) -> Decimal:
     try:
         value = Decimal(text)
     except ArithmeticError as exc:
-        raise argparse.ArgumentTypeError(f"bad decimal {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad decimal {_quoted(text)}") from exc
     if not value.is_finite():
-        raise argparse.ArgumentTypeError(f"decimal must be finite, got {text!r}")
+        raise argparse.ArgumentTypeError(f"decimal must be finite, got {_quoted(text)}")
     return value
 
 
@@ -66,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="3/4",
         help="reduction parameter as an exact rational, e.g. 3/4 or 0.9999",
     )
-    common.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+    common.add_argument("--seed", type=_int, default=0, help="64-bit experiment seed")
     common.add_argument("--in", dest="infile", required=True, help="lattice file")
     common.add_argument("--report", help="write a JSON report to this file")
 
@@ -76,20 +86,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lll", parents=[common], help="single reduction")
 
     hc = sub.add_parser("hc", parents=[common], help="hill climbing reduction")
-    hc.add_argument("--radius", type=int, help="fixed-radius walk")
-    hc.add_argument("--r0", type=int, help="starting radius of a variable walk")
+    hc.add_argument("--radius", type=_int, help="fixed-radius walk")
+    hc.add_argument("--r0", type=_int, help="starting radius of a variable walk")
     hc.add_argument(
-        "--rstep", type=int, help="radius increment per step of an --r0 walk (default 1)"
+        "--rstep", type=_int, help="radius increment per step of an --r0 walk (default 1)"
     )
-    hc.add_argument("--psl2", type=int, help="prime p for the PSL(2,p) walk")
-    hc.add_argument("--k", type=int, default=10, help="permutations per step")
-    hc.add_argument("--p", type=int, default=5, help="maximum steps")
+    hc.add_argument("--psl2", type=_int, help="prime p for the PSL(2,p) walk")
+    hc.add_argument("--k", type=_int, default=10, help="permutations per step")
+    hc.add_argument("--p", type=_int, default=5, help="maximum steps")
     hc.add_argument("--target", type=_decimal, help="stop once this length is reached")
 
     ld = sub.add_parser("ldsf", parents=[common], help="diffusion/fusion reduction")
-    ld.add_argument("--blocks", type=int, required=True, help="initial block count")
-    ld.add_argument("--inner", type=int, default=1, help="inner iterations M")
-    ld.add_argument("--outer", type=int, default=1, help="outer iterations N")
+    ld.add_argument("--blocks", type=_int, required=True, help="initial block count")
+    ld.add_argument("--inner", type=_int, default=1, help="inner iterations M")
+    ld.add_argument("--outer", type=_int, default=1, help="outer iterations N")
     ld.add_argument("--target", type=_decimal, help="stop once this length is reached")
 
     hy = sub.add_parser("hybrid", parents=[common], help="multistage pipeline")
@@ -100,13 +110,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         table = sub.add_parser(name, parents=[common], help=f"{what} per radius")
         table.add_argument("--radii", type=_radii, required=True, help="e.g. 5,10,15")
-        table.add_argument("--samples", type=int, default=100, help="permutations per radius")
+        table.add_argument("--samples", type=_int, default=100, help="permutations per radius")
         table.add_argument("--out-csv", help="write the table to this CSV file")
 
     orc = sub.add_parser("oracle", parents=[common], help="exhaustive shortest vector")
-    orc.add_argument("--bound", type=int, default=2, help="coefficient box half-width")
+    orc.add_argument("--bound", type=_int, default=2, help="coefficient box half-width")
     orc.add_argument(
-        "--budget", type=int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget"
+        "--budget", type=_int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget"
     )
     return parser
 

@@ -10,6 +10,18 @@ The recurrence and every rounding, swap and order are those of the plain
 loop form that the tests keep as the reference.  Only interpreter work is
 cut: a size-reduction test that changes nothing makes no call, and row and
 lam updates run through ``map`` in C, not a Python loop per entry.
+
+A swap of rows k-1 and k rewrites lam columns k-1 and k of every row i
+below k, and a large reduction spends most of its time there.  With
+x = lam[k][k-1], a = lam[i][k-1], c = lam[i][k] and s = x*(a + c), both new
+entries are exact quotients by the old d[k] (Cohen 1993, Alg. 2.6.7):
+
+    lam[i][k]   = (d[k+1]*a - x*c) / d[k]   = ((d[k+1] + x)*a - s) / d[k]
+    lam[i][k-1] = (x*a + d[k-1]*c) / d[k]   = (s + (d[k-1] - x)*c) / d[k]
+
+These are the reference's integers (it divides the second by d[k+1]) from
+three products instead of four; at the 2,000-bit d of a 1000-bit knapsack
+basis, a division costs about 2.4 products.
 """
 
 from __future__ import annotations
@@ -111,12 +123,13 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
             # swap rows k-1 and k; update d[k] and lam columns k-1, k below
             rows[k], rows[k - 1] = rows[k - 1], rows[k]
             lk[: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lk[: k - 1]
-            new_d = num // dk
+            ax, bx = dk_next + x, d[k - 1] - x
             for li in lam[k + 1 : kmax + 1]:
-                t = li[k]
-                li[k] = (dk_next * li[k - 1] - x * t) // dk
-                li[k - 1] = (new_d * t + x * li[k]) // dk_next
-            d[k] = new_d
+                a, c = li[k - 1], li[k]
+                s = x * (a + c)
+                li[k] = (ax * a - s) // dk
+                li[k - 1] = (s + bx * c) // dk
+            d[k] = num // dk
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):

@@ -64,14 +64,26 @@ MUTANTS = (
     ),
     Mutant(
         "kernel swap: d[k+1] for d[k] in the new d[k]", "lll.py",
-        "            new_d = num // dk\n",
-        "            new_d = num // dk_next\n",
+        "            d[k] = num // dk\n",
+        "            d[k] = num // dk_next\n",
         KERNEL,
     ),
     Mutant(
         "kernel swap: d[k+1] for d[k] in the lambda update", "lll.py",
-        "                li[k] = (dk_next * li[k - 1] - x * t) // dk\n",
-        "                li[k] = (dk_next * li[k - 1] - x * t) // dk_next\n",
+        "                li[k] = (ax * a - s) // dk\n",
+        "                li[k] = (ax * a - s) // dk_next\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel swap: d[k-1] + x in the lambda update", "lll.py",
+        "            ax, bx = dk_next + x, d[k - 1] - x\n",
+        "            ax, bx = dk_next + x, d[k - 1] + x\n",
+        KERNEL,
+    ),
+    Mutant(
+        "kernel swap: x * (a - c) as the shared product", "lll.py",
+        "                s = x * (a + c)\n",
+        "                s = x * (a - c)\n",
         KERNEL,
     ),
     Mutant(

@@ -429,6 +429,30 @@ class TestAlphaText:
         assert len(done.stderr) < 200  # the input text is quoted truncated
 
 
+class TestOptionTextIsQuotedShort:
+    NINES = "9" * 5000  # past int()'s 4,300-digit cap
+    CUT = "9" * 36 + "..."
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lll", "--seed", NINES], f"--seed: invalid int value: '{CUT}"),
+            (["hc", "--radius", NINES], f"--radius: invalid int value: '{CUT}"),
+            (["sweep", "--radii", "1," + NINES], f"--radii: bad radius list '1,{CUT[2:]}"),
+            (["hc", "--radius", "4", "--target", "x" * 5000],
+             f"--target: bad decimal '{'x' * 36}..."),
+            # argparse's own text, quoted in full, up to 40 characters
+            (["lll", "--seed", "9" * 39 + "x"], f"--seed: invalid int value: '{'9' * 39}x'"),
+            (["oracle", "--bound", "two"], "--bound: invalid int value: 'two'"),
+        ],
+        ids=["seed", "radius", "radii", "target", "seed-40-chars", "bound"],
+    )
+    def test_exits_1_with_the_value_cut_to_40_characters(self, rank8, capsys, argv, message):
+        assert cli_main([*argv, "--in", rank8]) == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == f"latforge {argv[0]}: error: argument {message}"
+
+
 class TestSweepAndFreq:
     def test_sweep_csv_deterministic(self, rank8, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -226,9 +226,12 @@ TIE_ROWS = [
 def _kernel_corpus() -> list[Basis]:
     """Small uniform bases, knapsack bases up to 1000-bit weights, and the
     hill-climb shape: radius-35 permutations of lll(knapsack(40, 60-bit)),
-    reduced by the reference so the corpus does not rest on the kernel."""
+    reduced by the reference so the corpus does not rest on the kernel.
+    knapsack(12, 1000) has the 2,000-bit d of lll-knapsack1000 and swaps
+    with up to 10 rows below k (8,848 to 22,089 row updates per alpha)."""
     corpus = [uniform_basis(m, seed=seed) for m in range(2, 13) for seed in range(5)]
     corpus += [knapsack_basis(8, 30), knapsack_basis(12, 200), knapsack_basis(10, 1000)]
+    corpus += [knapsack_basis(12, 1000)]
     start = lll_reduce_reference(knapsack_basis(40, 60))
     corpus += [
         perm.apply(start, perm.sample_at_radius(40, 35, derive_rng("kernel", j)))
