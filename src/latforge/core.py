@@ -398,15 +398,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
+def _reduced_echelon(b: Basis, unit: bool = False) -> tuple[list[int], int, list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of the m x n matrix B of ``b``.
 
     Returns the pivot columns P (each the first column independent of those
     before it, so a property of the row space), d = +-det(B_P), and rows
     whose non-pivot columns hold d * B_P^-1 * B.  Divisions are exact.
-    ``hnf`` and ``gram_det`` both read it.
+    ``hnf`` and ``gram_det`` both read it.  With ``unit`` the column
+    e_(m-1) rides along as column n, never a pivot, so each row ends with
+    its entry of w = d * B_P^-1 * e_(m-1).
     """
-    work = [list(r) for r in b.rows]
+    work = [list(r) + [int(i == b.m - 1)] * unit for i, r in enumerate(b.rows)]
     m, n = b.m, b.n
     pivots: list[int] = []
     prev = 1
@@ -418,7 +420,7 @@ def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
         work[r], work[k] = work[k], work[r]
         pivots.append(c)
         piv_row, piv = work[r], work[r][c]
-        cols = [j for j in range(n) if j not in pivots]
+        cols = [j for j in range(n + unit) if j not in pivots]
         for row in work:
             f = row[c]
             # With f = 0 and piv = prev the update leaves the row as it is:
@@ -434,7 +436,8 @@ def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
 
 def _hnf_square(rows: list[list[int]], det: int) -> list[list[int]]:
     """Row-style HNF of a nonsingular square matrix whose |det| is ``det``
-    (``rows`` is overwritten).
+    (``rows`` is overwritten).  ``hnf`` calls it only when the echelon's
+    unit column does not settle the form, so ``det`` > 1.
 
     Cohen's Algorithm 2.4.8 (Domich-Kannan-Trotter): column p is cleared
     below its pivot by xgcd row operations taken modulo R, where R starts
@@ -448,8 +451,6 @@ def _hnf_square(rows: list[list[int]], det: int) -> list[list[int]]:
     is ours rotated by 180 degrees; the indices here are already rotated.
     """
     m = len(rows)
-    if det == 1:
-        return [[int(i == j) for j in range(m)] for i in range(m)]
     out: list[list[int]] = []
     R = det
     for p in range(m):
@@ -488,9 +489,23 @@ def hnf(b: Basis) -> Basis:
     H_P * B_P^-1 * B, which is H_P on P and exact integers elsewhere.  The
     echelon that gives P, B_P and B_P^-1 * B also gives ``gram_det`` its
     minors.
+
+    The echelon also carries w = d * B_P^-1 * e_(m-1): x.w = d * y_(m-1) = 0
+    (mod |d|) for each x = y * B_P.  If w_(m-1) is a unit mod |d| (always if
+    |d| = 1), those x form a lattice of index |d|, B_P's index, that holds
+    B_P's, so H_P is the identity but for the pivot |d| and c_i = -w_i /
+    w_(m-1) mod |d| in its last column (Micciancio-Warinschi 2001).
     """
-    pivots, det, scaled = _reduced_echelon(b)
-    square = _hnf_square([[row[c] for c in pivots] for row in b.rows], abs(det))
+    pivots, det, scaled = _reduced_echelon(b, unit=True)
+    big = abs(det)
+    inv, _, g = _xgcd(scaled[-1][-1], big)
+    if g == 1:
+        square = [[int(i == j) for j in range(b.m)] for i in range(b.m)]
+        for h, row in zip(square, scaled):
+            h[-1] = -row[-1] * inv % big
+        square[-1][-1] = big
+    else:
+        square = _hnf_square([[row[c] for c in pivots] for row in b.rows], big)
     out = []
     for h in square:
         on_pivots = dict(zip(pivots, h))

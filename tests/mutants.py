@@ -117,6 +117,12 @@ MUTANTS = (
         ("tests/test_lll.py::TestIsReduced",),
     ),
     Mutant(
+        "LllParams: decimal text range-checked only after its Fraction is built", "lll.py",
+        '        if value is not None and value.is_finite() and not Decimal("0.25") < value < 1:\n',
+        "        if False:\n",
+        ("tests/test_lll.py::TestParams::test_out_of_range_decimal_text_builds_no_fraction",),
+    ),
+    Mutant(
         "gso: sign flip in _gso_row", "core.py",
         "            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]\n",
         "            u = (d[i + 1] * u + lk[i] * lj[i]) // d[i]\n",
@@ -172,6 +178,24 @@ MUTANTS = (
         "            if row is not piv_row and (f or piv != prev):\n",
         "            if row is not piv_row and f:\n",
         ("tests/test_core.py::TestReducedEchelon",),
+    ),
+    Mutant(
+        "hnf: the unit-column route taken for any gcd", "core.py",
+        "    if g == 1:\n        square",
+        "    if g >= 1:\n        square",
+        ("tests/test_core.py::TestHnf::test_route_by_lattice",),
+    ),
+    Mutant(
+        "hnf: the last column of the unit-column route negated", "core.py",
+        "            h[-1] = -row[-1] * inv % big\n",
+        "            h[-1] = row[-1] * inv % big\n",
+        ("tests/test_core.py::TestHnf::test_route_by_lattice",),
+    ),
+    Mutant(
+        "hnf: the echelon's unit column may become a pivot", "core.py",
+        "    for c in range(n):\n",
+        "    for c in range(n + unit):\n",
+        ("tests/test_core.py::TestHnf::test_detects_dependence",),
     ),
     Mutant(
         "hnf: pivot row not rebuilt on (-1, 0) either", "core.py",

@@ -607,9 +607,10 @@ class TestHnf:
             self.agree(uniform_basis(m, -999, 999, seed=seed))
 
     @pytest.mark.parametrize("m", range(2, 9))
-    def test_column_scaled_matches_reference(self, m):
+    def test_column_scaled_matches_reference(self, m, monkeypatch):
         # Scaled columns give pivots above 1 in several columns, so finished
         # rows are reduced while later pivots are still to come.
+        calls = self.count_square(monkeypatch)
         rng = derive_rng("hnf-scaled", m)
         for seed in range(4):
             scale = [rng.choice((1, 2, 3, 4, 6, 8, 12)) for _ in range(m)]
@@ -617,6 +618,59 @@ class TestHnf:
             b = Basis([[x * c for x, c in zip(row, scale)] for row in b.rows])
             self.agree(b)
             assert max(row[i] for i, row in enumerate(hnf(b).rows)) > 1
+        assert calls["_hnf_square"] == 2 * 4  # two hnf calls per seed
+
+    @staticmethod
+    def count_square(monkeypatch) -> Counter:
+        calls = Counter()
+        square = counting(calls, "_hnf_square", core._hnf_square)
+        monkeypatch.setattr(core, "_hnf_square", square)
+        return calls
+
+    @pytest.mark.parametrize(
+        "b,square_calls",
+        [
+            (uniform_basis(30, seed=0), 0),
+            (Basis(((1, -1), (0, 2))), 0),
+            (Basis(((1, 0, 5), (0, 2, 7))), 0),
+            (Basis(((2, 0), (0, 3))), 1),
+            (Basis(((8, -7), (8, -6))), 1),
+            (Basis(((2, 0, 1), (0, 3, 1))), 1),
+        ],
+        ids=["uniform30", "2x2-cyclic", "2x3-cyclic", "Z/2+Z/3", "pivot-8", "2x3-two-pivots"],
+    )
+    def test_route_by_lattice(self, b, square_calls, monkeypatch):
+        # The echelon's unit column settles the form when w_(m-1) is a unit
+        # modulo |det|.  Z/2 x Z/3 is cyclic, but its pivots are 2 and 3.
+        calls = self.count_square(monkeypatch)
+        self.agree(b)
+        assert calls["_hnf_square"] == square_calls
+
+    @pytest.mark.parametrize(
+        "b",
+        [uniform_basis(30, seed=0), knapsack_basis(8, 60), knapsack_basis(30, 60)],
+        ids=["uniform30", "knapsack8", "knapsack30"],
+    )
+    def test_reduced_bases_take_the_unit_column_route(self, b, monkeypatch):
+        # certify's check: an LLL-reduced basis against the form of its
+        # input.  A knapsack basis [I | a] is its own HNF.
+        calls = self.count_square(monkeypatch)
+        want = b if b.n > b.m else hnf(b)
+        assert hnf(lll_reduce(b)) == want
+        assert calls["_hnf_square"] == 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(rows=_matrices(wide=2))
+    @example(rows=((1, 0, 5), (0, 2, 7)))  # the unit-column route
+    @example(rows=((2, 0, 1), (0, 3, 1)))  # _hnf_square
+    @example(rows=((1, 2), (2, 4)))  # pivots only in the unit column
+    def test_matches_reference_on_both_routes(self, rows):
+        b = Basis(rows)
+        if gram_det(b) == 0:
+            with pytest.raises(DependentRowsError, match="rows span a lattice of lower rank"):
+                hnf(b)
+        else:
+            self.agree(b)
 
     def test_pivot_equal_to_det(self):
         # det = 8 and the first pivot is 8: reduced modulo det it would be 0.

@@ -46,6 +46,21 @@ class TestParams:
         with pytest.raises(ValueError, match=r"alpha must lie in \(1/4, 1\), got '"):
             LllParams(text)
 
+    @pytest.mark.parametrize("text", ["2.5", "1e999999999"])
+    def test_out_of_range_decimal_text_builds_no_fraction(self, text, monkeypatch):
+        # The Fraction of "1e999999999" has a billion-digit numerator, so the
+        # range check on the decimal text must come before any Fraction.
+        built = []
+
+        def no_fraction(*args):
+            built.append(args)
+            raise AssertionError(f"Fraction{args!r} built")
+
+        monkeypatch.setattr("latforge.lll.Fraction", no_fraction)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(1/4, 1\), got '"):
+            LllParams(text)
+        assert built == []
+
     def test_decimal_text_inside_range(self):
         just_above = LllParams("0.2500000000000000000001")
         assert just_above.alpha == Fraction(1, 4) + Fraction(1, 10**22)
