@@ -79,9 +79,15 @@ class Record:
         shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({shown})"
 
+    def __getstate__(self) -> dict:
+        """The fields by name: what a copy or a pickle carries.  A value a
+        subclass keeps beside them in ``__dict__`` (``Basis._echelon``) is
+        recomputed by the copy, never handed to it."""
+        return dict(zip(self._fields, self._values()))
+
     def replace(self, **changes):
         """A copy with ``changes`` applied, as ``dataclasses.replace``."""
-        return type(self)(**{**self.__dict__, **changes})
+        return type(self)(**{**self.__getstate__(), **changes})
 
 
 class Basis(Record):
@@ -132,6 +138,16 @@ class Basis(Record):
 
     def row_normsq(self, i: int) -> int:
         return sum(map(mul, self.rows[i], self.rows[i]))
+
+    @cached_property
+    def _echelon(self) -> tuple[list[int], int, list[list[int]]]:
+        """``_reduced_echelon(self, unit=True)``, run once per basis object:
+        ``gram_det`` and ``hnf`` read it, so the load check's determinant and
+        a later ``same_lattice`` share one elimination.  It is kept in
+        ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` do
+        not see it; a DependentRowsError is raised on each read, not kept.
+        Readers must not change the rows it returns."""
+        return _reduced_echelon(self, unit=True)
 
     def max_abs_entry(self) -> int:
         return max(abs(x) for row in self.rows for x in row)
@@ -372,7 +388,7 @@ def gram_det(b: Basis) -> int:
     try:
         if b.n - b.m > 1:
             return _integral_gso(b)[0][-1]
-        pivots, det, scaled = _reduced_echelon(b)
+        pivots, det, scaled = b._echelon
         extra = [c for c in range(b.n) if c not in pivots]
         return det * det + sum(row[c] * row[c] for row in scaled for c in extra)
     except DependentRowsError:
@@ -404,7 +420,8 @@ def _reduced_echelon(b: Basis, unit: bool = False) -> tuple[list[int], int, list
     Returns the pivot columns P (each the first column independent of those
     before it, so a property of the row space), d = +-det(B_P), and rows
     whose non-pivot columns hold d * B_P^-1 * B.  Divisions are exact.
-    ``hnf`` and ``gram_det`` both read it.  With ``unit`` the column
+    ``hnf`` and ``gram_det`` both read it, once per basis, through
+    ``Basis._echelon``.  With ``unit`` the column
     e_(m-1) rides along as column n, never a pivot, so each row ends with
     its entry of w = d * B_P^-1 * e_(m-1).
     """
@@ -496,7 +513,7 @@ def hnf(b: Basis) -> Basis:
     B_P's, so H_P is the identity but for the pivot |d| and c_i = -w_i /
     w_(m-1) mod |d| in its last column (Micciancio-Warinschi 2001).
     """
-    pivots, det, scaled = _reduced_echelon(b, unit=True)
+    pivots, det, scaled = b._echelon
     big = abs(det)
     inv, _, g = _xgcd(scaled[-1][-1], big)
     if g == 1:
@@ -522,6 +539,26 @@ def same_lattice(a: Basis, b: Basis) -> bool:
     return hnf(a).rows == hnf(b).rows
 
 
+def _zigzag(center: int | Fraction, bound: int):
+    """[-bound, bound] in order of distance from ``center``, the lower value
+    first on a tie: ``sorted(range(-bound, bound + 1), key=lambda v: abs(v -
+    center))``, yielded lazily by walking outward from ``center``, so a caller
+    that stops after a few values pays for no more.  With center = p / q,
+    lo is nearer than hi (or as near) iff 2p <= (lo + hi) * q."""
+    p, q = center.numerator, center.denominator
+    lo = min(p // q, bound)
+    hi = max(lo + 1, -bound)
+    while True:
+        if lo >= -bound and (hi > bound or 2 * p <= (lo + hi) * q):
+            yield lo
+            lo -= 1
+        elif hi <= bound:
+            yield hi
+            hi += 1
+        else:
+            return
+
+
 def svp_oracle(
     b: Basis, coeff_bound: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> SvpResult:
@@ -537,8 +574,9 @@ def svp_oracle(
     Schnorr-Euchner depth-first search on the exact GSO, read from the
     integral kernel as mu_ji = lam[j][i] / d[i+1] and ||b*_i||^2 =
     d[i+1] / d[i]: coefficients are fixed from the last row down, each
-    level in order of distance from its projected center, so the partial
-    squared norm only grows along a branch.  A branch is cut once it
+    level in order of distance from its projected center (``_zigzag``), so
+    the partial squared norm only grows along a branch and the first value
+    past the best norm ends the level.  A branch is cut once it
     exceeds the best norm found so far, starting from the shortest row
     (its unit coefficient vector is in the box).  Ties survive the cut, so
     every minimum in the box is reached.
@@ -559,12 +597,11 @@ def svp_oracle(
     x = [0] * m
     best_sq, first = min((b.row_normsq(i), i) for i in range(m))
     best = tuple(int(j == first) for j in range(m))
-    box_range = range(-coeff_bound, coeff_bound + 1)
 
     def search(i: int, partial: Fraction) -> None:
         nonlocal best_sq, best
         center = -sum(x[j] * mu[j][i] for j in range(i + 1, m))
-        for xi in sorted(box_range, key=lambda v: abs(v - center)):
+        for xi in _zigzag(center, coeff_bound):
             sq = partial + (xi - center) ** 2 * normsq[i]
             if sq > best_sq:
                 return

@@ -168,6 +168,33 @@ MUTANTS = (
         ("tests/test_core.py::TestMetrics",),
     ),
     Mutant(
+        "hnf re-runs the echelon", "core.py",
+        "    pivots, det, scaled = b._echelon\n    big = abs(det)\n",
+        "    pivots, det, scaled = _reduced_echelon(b, unit=True)\n    big = abs(det)\n",
+        ("tests/test_core.py::TestOneEchelonPerBasis",),
+    ),
+    Mutant(
+        "gram_det re-runs the echelon", "core.py",
+        "        pivots, det, scaled = b._echelon\n",
+        "        pivots, det, scaled = _reduced_echelon(b, unit=True)\n",
+        (
+            "tests/test_core.py::TestOneEchelonPerBasis",
+            "tests/test_cli.py::TestOneDeterminantPerRun::test_lll_report_eliminates_each_basis_once",
+        ),
+    ),
+    Mutant(
+        "zigzag takes the higher value on a tie", "core.py",
+        "        if lo >= -bound and (hi > bound or 2 * p <= (lo + hi) * q):\n",
+        "        if lo >= -bound and (hi > bound or 2 * p < (lo + hi) * q):\n",
+        ("tests/test_core.py::TestSvpOracle::test_zigzag_is_the_sorted_order",),
+    ),
+    Mutant(
+        "zigzag starts at the box edge for a center past it", "core.py",
+        "    lo = min(p // q, bound)\n",
+        "    lo = p // q\n",
+        ("tests/test_core.py::TestSvpOracle::test_zigzag_is_the_sorted_order",),
+    ),
+    Mutant(
         "svp: a branch pruned on ties", "core.py",
         "            if sq > best_sq:\n",
         "            if sq >= best_sq:\n",
@@ -244,6 +271,18 @@ MUTANTS = (
         '        shown = ", ".join(f"{f}={v!r}"',
         '        shown = ", ".join(f"{f}={v}"',
         RECORD,
+    ),
+    Mutant(
+        "record: replace spreads __dict__", "core.py",
+        "        return type(self)(**{**self.__getstate__(), **changes})\n",
+        "        return type(self)(**{**self.__dict__, **changes})\n",
+        ("tests/test_core.py::TestRecord::test_replace_copies_the_fields_only",),
+    ),
+    Mutant(
+        "record: a copy carries the echelon", "core.py",
+        "        return dict(zip(self._fields, self._values()))\n",
+        "        return dict(self.__dict__)\n",
+        ("tests/test_core.py::TestRecord::test_replace_copies_the_fields_only",),
     ),
     Mutant(
         "record: no defaults", "core.py",

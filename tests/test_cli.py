@@ -363,9 +363,9 @@ class TestReportMetrics:
 
 class TestOneDeterminantPerRun:
     """hc, ldsf and hybrid take det(B.B^T) from the load check, so a run
-    calls ``gram_det`` once on its lattice.  Calls are counted through every
-    binding of the function in every latforge module, as perfbench's tracer
-    rebinds them."""
+    calls ``gram_det`` once on its lattice, and ``lll`` eliminates each
+    basis once.  Calls are counted through every binding of the function in
+    every latforge module, as perfbench's tracer rebinds them."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -383,6 +383,34 @@ class TestOneDeterminantPerRun:
             {"kind": "sigma", "blocks": 3, "sample": 2},
             {"kind": "lll"},
         ]))
+        ranks = self.count_gram_det(monkeypatch)
+        argv = [str(stages) if a == "STAGES" else a for a in argv]
+        assert cli_main([*argv, "--in", rank8, "--report", str(tmp_path / "r")]) == 0
+        # The ldsf report also gives each reduced block its own determinant.
+        assert ranks.count(8) == 1
+        assert len(ranks) == 1 or argv[0] == "ldsf"
+
+    def test_lll_report_eliminates_each_basis_once(self, rank8, tmp_path, monkeypatch):
+        # The load check and the report's "before" both take det(B.B^T) of
+        # the input (perfbench's lll pin counts 3 calls), but a basis object
+        # keeps its echelon, so the input is eliminated once.
+        ranks = self.count_gram_det(monkeypatch)
+        echelon, eliminated = core._reduced_echelon, Counter()
+
+        def counted(b, unit=False):
+            eliminated[b.rows] += 1
+            return echelon(b, unit)
+
+        monkeypatch.setattr(core, "_reduced_echelon", counted)
+        assert cli_main(["lll", "--in", rank8, "--report", str(tmp_path / "r")]) == 0
+        assert len(ranks) == 3
+        assert sorted(eliminated.values()) == [1, 1]
+        assert load_lattice(rank8).basis.rows in eliminated
+
+    @staticmethod
+    def count_gram_det(monkeypatch) -> list[int]:
+        """The rank of each basis ``gram_det`` is called on, counted through
+        every binding of the function in every latforge module."""
         gram_det, ranks = core.gram_det, []
 
         def counted(b):
@@ -397,11 +425,7 @@ class TestOneDeterminantPerRun:
                         monkeypatch.setattr(module, attr, counted)
                         bound.add(name)
         assert {f"latforge.{m}" for m in ("core", "hillclimb", "ldsf", "pipeline")} <= bound
-        argv = [str(stages) if a == "STAGES" else a for a in argv]
-        assert cli_main([*argv, "--in", rank8, "--report", str(tmp_path / "r")]) == 0
-        # The ldsf report also gives each reduced block its own determinant.
-        assert ranks.count(8) == 1
-        assert len(ranks) == 1 or argv[0] == "ldsf"
+        return ranks
 
 
 class TestAlphaText:

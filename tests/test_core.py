@@ -39,6 +39,8 @@ from latforge import (
 )
 from latforge import core
 from latforge.core import int_str
+from latforge.latfile import load_lattice, save_lattice
+from latforge.lll import is_lll_reduced
 from latforge.parallel import derive_rng
 
 from helpers import (
@@ -148,6 +150,20 @@ class TestRecord:
                 assert repr(twin) == repr(value)
                 with pytest.raises(AttributeError):
                     twin.other = 1
+
+    def test_replace_copies_the_fields_only(self):
+        # A basis keeps its echelon in __dict__ beside its one field; the
+        # copy gets its own, and neither a pickle nor ``replace`` carries it.
+        b = uniform_basis(4, -9, 9, seed=1)
+        hnf(b)
+        assert "_echelon" in vars(b)
+        rows = b.rows[::-1][:3]
+        c = b.replace(rows=rows)
+        assert c == Basis(rows) and "_echelon" not in vars(c)
+        assert gram_det(c) == _gram_det_bareiss(c)
+        assert hnf(c).rows == tuple(map(tuple, _hnf_echelon([list(r) for r in rows])))
+        assert "_echelon" not in vars(pickle.loads(pickle.dumps(b)))
+        assert "_echelon" not in vars(copy.deepcopy(b))
 
 
 # Each config that takes a stopping bound, built with ``target_bound=t``.
@@ -532,6 +548,62 @@ class TestReducedEchelon:
             assert [row[c] for c in extra] == [d * want[c] for c in extra]
 
 
+class TestOneEchelonPerBasis:
+    """``gram_det`` and ``hnf`` of one basis object share one elimination,
+    kept beside its field, so certify's load check, reduction and
+    ``same_lattice`` eliminate each distinct basis once."""
+
+    @pytest.fixture
+    def eliminated(self, monkeypatch) -> Counter:
+        echelon, calls = core._reduced_echelon, Counter()
+
+        def counted(b, unit=False):
+            calls[b.rows] += 1
+            return echelon(b, unit)
+
+        monkeypatch.setattr(core, "_reduced_echelon", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "b",
+        [uniform_basis(8, seed=0), knapsack_basis(12, 60, seed=0)],
+        ids=["uniform8", "knapsack12"],
+    )
+    def test_certify_sequence_eliminates_each_basis_once(self, b, tmp_path, eliminated):
+        path = tmp_path / "in.lat"
+        save_lattice(b, str(path))
+        basis = load_lattice(str(path)).basis
+        out = lll_reduce(basis)
+        assert is_lll_reduced(out)
+        assert same_lattice(basis, out)
+        assert eliminated == {basis.rows: 1, out.rows: 1}
+
+    def test_memo_is_not_part_of_the_value(self, eliminated):
+        b = uniform_basis(5, -9, 9, seed=2)
+        twin = Basis(b.rows)
+        assert gram_det(b) == gram_det(twin)
+        assert hnf(b) == hnf(twin)
+        assert eliminated == {b.rows: 2}  # one per object, not per value
+        assert b == twin and hash(b) == hash(twin) and repr(b) == repr(twin)
+        assert b.__getstate__() == {"rows": b.rows}
+
+    def test_dependent_rows_are_not_kept(self, eliminated):
+        b = Basis(((1, 2, 3), (2, 4, 6)))
+        assert gram_det(b) == 0
+        with pytest.raises(DependentRowsError):
+            hnf(b)
+        assert eliminated == {b.rows: 2}
+        assert "_echelon" not in vars(b)
+
+    def test_readers_leave_the_echelon_as_it_was(self):
+        for b in (uniform_basis(6, seed=3), knapsack_basis(8, 60, seed=3)):
+            kept = copy.deepcopy(b._echelon)
+            gram_det(b)
+            hnf(b)
+            same_lattice(b, lll_reduce(b))
+            assert b._echelon == kept
+
+
 class TestHnf:
     def test_identity(self):
         assert hnf(Basis.identity(4)) == Basis.identity(4)
@@ -780,6 +852,33 @@ class TestSvpOracle:
             red = lll_reduce(b)
             lam_sq = sum(x * x for x in res.vector)
             assert all(lam_sq <= red.row_normsq(i) for i in range(red.m))
+
+    @pytest.mark.parametrize("bound", range(1, 7))
+    @pytest.mark.parametrize(
+        "center",
+        [0, 3, -2, 7, -9, Fraction(1, 2), Fraction(-5, 2), Fraction(13, 2), Fraction(-15, 2),
+         Fraction(1, 3), Fraction(-7, 3), Fraction(22, 7), Fraction(-41, 5), Fraction(99, 4)],
+    )
+    def test_zigzag_is_the_sorted_order(self, center, bound):
+        # Integer, half-integer (a tie: the lower value first, as a stable
+        # sort of the ascending range gives) and out-of-box centers.
+        want = sorted(range(-bound, bound + 1), key=lambda v: abs(v - center))
+        assert list(core._zigzag(center, bound)) == want
+
+    def test_zigzag_is_lazy(self):
+        walk = core._zigzag(Fraction(1, 3), 10**50)
+        assert [next(walk) for _ in range(4)] == [0, 1, -1, 2]
+
+    def test_same_results_as_the_sorted_level_order(self, monkeypatch):
+        # The oracle with each level sorted in full, as before the zigzag.
+        bases = [uniform_basis(m, -15, 15, seed=seed) for m in (3, 4, 5, 6) for seed in range(3)]
+        got = {(b, bound): svp_oracle(b, bound) for b in bases for bound in range(1, 7)}
+        monkeypatch.setattr(
+            core, "_zigzag",
+            lambda c, bound: sorted(range(-bound, bound + 1), key=lambda v: abs(v - c)),
+        )
+        for (b, bound), res in got.items():
+            assert res == svp_oracle(b, bound)
 
     def test_brute_force_cross_check(self):
         # independent re-enumeration with itertools over the same box
