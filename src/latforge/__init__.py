@@ -18,7 +18,7 @@ _MODULE_OF = {
     name: module
     for module, names in {
         "core": "Basis BasisMetrics SvpResult metrics gram_det hnf same_lattice "
-        "svp_oracle is_independent reduction_key",
+        "svp_oracle reduction_key",
         "lll": "LllParams lll_reduce is_lll_reduced",
         "perm": "Permutation sample_at_radius sample_right psl2_permutations apply",
         "hillclimb": "FixedRadius VariableRadius Psl2 HcConfig HcStep HcTrace det_bound hill_climb",

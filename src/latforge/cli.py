@@ -18,7 +18,7 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from . import serialize
-from .core import DEFAULT_ENUM_BUDGET, _quoted, metrics, svp_oracle
+from .core import DEFAULT_ENUM_BUDGET, _quoted, int_str, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
 from .latfile import LatticeFile, load_lattice
@@ -225,7 +225,7 @@ def _cmd_oracle(args, lattice: LatticeFile) -> Callable[[], dict]:
     result = svp_oracle(lattice.basis, args.bound, budget=args.budget)
     print(
         f"oracle: lambda1={result.lambda1:.6g} "
-        f"checked={result.count_checked} vector={list(result.vector)}"
+        f"checked={result.count_checked} vector=[{', '.join(map(int_str, result.vector))}]"
     )
     return lambda: serialize.svp_dict(result)
 

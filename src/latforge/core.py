@@ -141,13 +141,13 @@ class Basis(Record):
 
     @cached_property
     def _echelon(self) -> tuple[list[int], int, list[list[int]]]:
-        """``_reduced_echelon(self, unit=True)``, run once per basis object:
+        """``_reduced_echelon(self)``, run once per basis object:
         ``gram_det`` and ``hnf`` read it, so the load check's determinant and
         a later ``same_lattice`` share one elimination.  It is kept in
         ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` do
         not see it; a DependentRowsError is raised on each read, not kept.
         Readers must not change the rows it returns."""
-        return _reduced_echelon(self, unit=True)
+        return _reduced_echelon(self)
 
     def max_abs_entry(self) -> int:
         return max(abs(x) for row in self.rows for x in row)
@@ -209,10 +209,6 @@ class SvpResult(Record):
     vector: tuple[int, ...]
     lambda1: Decimal
     count_checked: int
-
-
-def _dot(u: Sequence, v: Sequence):
-    return sum(map(mul, u, v))
 
 
 def _sqrt(value: int) -> Decimal:
@@ -395,10 +391,6 @@ def gram_det(b: Basis) -> int:
         return 0
 
 
-def is_independent(b: Basis) -> bool:
-    return gram_det(b) != 0
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """Returns (x, y, g) with x*a + y*b == g == gcd(a, b), g >= 0 for b != 0."""
     x, next_x = 1, 0
@@ -414,18 +406,17 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def _reduced_echelon(b: Basis, unit: bool = False) -> tuple[list[int], int, list[list[int]]]:
+def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
     """Fraction-free Gauss-Jordan elimination of the m x n matrix B of ``b``.
 
     Returns the pivot columns P (each the first column independent of those
     before it, so a property of the row space), d = +-det(B_P), and rows
     whose non-pivot columns hold d * B_P^-1 * B.  Divisions are exact.
     ``hnf`` and ``gram_det`` both read it, once per basis, through
-    ``Basis._echelon``.  With ``unit`` the column
-    e_(m-1) rides along as column n, never a pivot, so each row ends with
-    its entry of w = d * B_P^-1 * e_(m-1).
+    ``Basis._echelon``.  The column e_(m-1) rides along as column n, never
+    a pivot, so each row ends with its entry of w = d * B_P^-1 * e_(m-1).
     """
-    work = [list(r) + [int(i == b.m - 1)] * unit for i, r in enumerate(b.rows)]
+    work = [[*r, int(i == b.m - 1)] for i, r in enumerate(b.rows)]
     m, n = b.m, b.n
     pivots: list[int] = []
     prev = 1
@@ -437,7 +428,7 @@ def _reduced_echelon(b: Basis, unit: bool = False) -> tuple[list[int], int, list
         work[r], work[k] = work[k], work[r]
         pivots.append(c)
         piv_row, piv = work[r], work[r][c]
-        cols = [j for j in range(n + unit) if j not in pivots]
+        cols = [j for j in range(n + 1) if j not in pivots]
         for row in work:
             f = row[c]
             # With f = 0 and piv = prev the update leaves the row as it is:
@@ -616,5 +607,5 @@ def svp_oracle(
         sum(c * row[j] for c, row in zip(best, b.rows)) for j in range(b.n)
     )
     return SvpResult(
-        vector=vector, lambda1=_sqrt(_dot(vector, vector)), count_checked=box - 1
+        vector=vector, lambda1=_sqrt(sum(map(mul, vector, vector))), count_checked=box - 1
     )

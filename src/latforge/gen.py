@@ -8,17 +8,21 @@ integers) that mimic the entry growth of the challenge inputs.
 
 from __future__ import annotations
 
-from .core import Basis, is_independent
+from .core import Basis, _quoted, gram_det
 from .parallel import derive_rng
 
 
 def uniform_basis(m: int, lo: int = -999, hi: int = 999, seed: int = 0) -> Basis:
     """Random m x m basis with entries uniform in [lo, hi], resampled until
-    the rows are independent."""
+    the rows are independent.  ValueError when no draw is (lo == hi, with
+    m > 1 or lo == 0).  If hi > lo, [lo, hi] holds a nonzero entry and, for
+    m > 1, some a and a + 1: a*J + I (J all ones) has det 1 + m*a != 0."""
+    if lo == hi and (lo == 0 or m > 1):
+        raise ValueError(f"every entry is {_quoted(lo)}: no {_quoted(m)}-row draw is independent")
     rng = derive_rng("uniform", m, lo, hi, seed)
     while True:
         b = Basis(tuple(tuple(rng.randint(lo, hi) for _ in range(m)) for _ in range(m)))
-        if is_independent(b):
+        if gram_det(b):
             return b
 
 

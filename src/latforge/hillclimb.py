@@ -143,8 +143,8 @@ def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
     current = lll_reduce(b0, cfg.alpha)
     best = current
     best_key = reduction_key(current)
-    # One determinant for the walk, of the reduced basis when not given.
-    gram = gram_det(current) if gram is None else gram
+    # One determinant for the walk, of its input when not given.
+    gram = gram_det(b0) if gram is None else gram
     initial = best_metrics = metrics(current, gram)
     bound = det_bound(b0, gram)
     target = bound if cfg.target_bound is None else cfg.target_bound

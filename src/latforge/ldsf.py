@@ -17,7 +17,7 @@ from decimal import Decimal
 
 from .core import Basis, BasisMetrics, Record, gram_det, metrics, _exact_target, _sqrt
 from .errors import BadBlockingError
-from .lll import LllParams, lll_reduce
+from .lll import DEFAULT_PARAMS, LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
 from .perm import Permutation, apply, check_right_degree, sample_right
 
@@ -29,7 +29,7 @@ class LdsfConfig(Record):
     servers: int
     inner_iters: int = 1
     outer_iters: int = 1
-    alpha: LllParams = LllParams("3/4")
+    alpha: LllParams = DEFAULT_PARAMS
     target_bound: float | Decimal | None = None
     seed: int = 0
 

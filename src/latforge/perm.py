@@ -37,9 +37,6 @@ class Permutation(Record):
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     @classmethod
     def identity(cls, m: int) -> "Permutation":
         return cls(tuple(range(1, m + 1)))

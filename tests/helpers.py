@@ -19,8 +19,8 @@ nothing with the integral Gram-Schmidt kernel behind ``gram_det``,
 ``_is_lll_reduced_fraction`` checks the LLL conditions on ``gso``, so a
 fault in that kernel cannot pass its own check.
 
-The oracles import no private primitive of the library: ``_dot``,
-``_xgcd`` and the 50-digit ``_sqrt``/``_log10`` are written out here.
+The oracles import no private primitive of the library: ``_xgcd`` and
+the 50-digit ``_sqrt``/``_log10`` are written out here, as is ``_dot``.
 
 ``eager_metrics`` computes the four metric values all at once, with the
 reference determinant, as the reference for the lazy ``BasisMetrics``.

@@ -170,13 +170,13 @@ MUTANTS = (
     Mutant(
         "hnf re-runs the echelon", "core.py",
         "    pivots, det, scaled = b._echelon\n    big = abs(det)\n",
-        "    pivots, det, scaled = _reduced_echelon(b, unit=True)\n    big = abs(det)\n",
+        "    pivots, det, scaled = _reduced_echelon(b)\n    big = abs(det)\n",
         ("tests/test_core.py::TestOneEchelonPerBasis",),
     ),
     Mutant(
         "gram_det re-runs the echelon", "core.py",
         "        pivots, det, scaled = b._echelon\n",
-        "        pivots, det, scaled = _reduced_echelon(b, unit=True)\n",
+        "        pivots, det, scaled = _reduced_echelon(b)\n",
         (
             "tests/test_core.py::TestOneEchelonPerBasis",
             "tests/test_cli.py::TestOneDeterminantPerRun::test_lll_report_eliminates_each_basis_once",
@@ -221,7 +221,7 @@ MUTANTS = (
     Mutant(
         "hnf: the echelon's unit column may become a pivot", "core.py",
         "    for c in range(n):\n",
-        "    for c in range(n + unit):\n",
+        "    for c in range(n + 1):\n",
         ("tests/test_core.py::TestHnf::test_detects_dependence",),
     ),
     Mutant(
@@ -475,9 +475,21 @@ MUTANTS = (
     ),
     Mutant(
         "gen: a dependent first draw kept", "gen.py",
-        "        if is_independent(b):\n            return b\n",
+        "        if gram_det(b):\n            return b\n",
         "        return b\n",
         ("tests/test_gen.py::TestUniform::test_dependent_draws_are_resampled",),
+    ),
+    Mutant(
+        "gen: a range with no independent draw accepted", "gen.py",
+        "    if lo == hi and (lo == 0 or m > 1):\n",
+        "    if False:\n",
+        ("tests/test_gen.py::TestUniform::test_a_range_with_no_independent_draw_is_rejected",),
+    ),
+    Mutant(
+        "oracle: the vector printed by str", "cli.py",
+        """vector=[{', '.join(map(int_str, result.vector))}]""",
+        """vector={list(result.vector)}""",
+        ("tests/test_cli.py::TestOracle::test_vector_past_4300_digits",),
     ),
     Mutant(
         "gen: knapsack weights drawn from 1", "gen.py",
@@ -504,9 +516,19 @@ MUTANTS = (
     # The determinant each search layer carries from the load check.
     Mutant(
         "carried det: hill_climb recomputes it", "hillclimb.py",
-        "    gram = gram_det(current) if gram is None else gram\n",
-        "    gram = gram_det(current)\n",
+        "    # One determinant for the walk, of its input when not given.\n"
+        "    gram = gram_det(b0) if gram is None else gram\n",
+        "    gram = gram_det(b0)\n",
         ONE_DET,
+    ),
+    Mutant(
+        "determinant rule: hill_climb takes it of the reduced basis", "hillclimb.py",
+        "    gram = gram_det(b0) if gram is None else gram\n    initial",
+        "    gram = gram_det(current) if gram is None else gram\n    initial",
+        (
+            "tests/test_core.py::TestOneEchelonPerBasis"
+            "::test_hill_climb_given_no_gram_eliminates_its_input",
+        ),
     ),
     Mutant(
         "carried det: ldsf_run recomputes it", "ldsf.py",
@@ -516,8 +538,8 @@ MUTANTS = (
     ),
     Mutant(
         "carried det: run_pipeline recomputes it", "pipeline.py",
-        "    gram = gram_det(b0) if gram is None else gram\n",
-        "    gram = gram_det(b0)\n",
+        "    gram = gram_det(b0) if gram is None else gram\n    current = b0\n",
+        "    gram = gram_det(b0)\n    current = b0\n",
         ONE_DET,
     ),
 )

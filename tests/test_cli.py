@@ -397,9 +397,9 @@ class TestOneDeterminantPerRun:
         ranks = self.count_gram_det(monkeypatch)
         echelon, eliminated = core._reduced_echelon, Counter()
 
-        def counted(b, unit=False):
+        def counted(b):
             eliminated[b.rows] += 1
-            return echelon(b, unit)
+            return echelon(b)
 
         monkeypatch.setattr(core, "_reduced_echelon", counted)
         assert cli_main(["lll", "--in", rank8, "--report", str(tmp_path / "r")]) == 0
@@ -570,6 +570,17 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "computation failed: box of 255999" in err
         assert "coefficient vectors exceeds budget 10000000" in err
+
+    def test_vector_past_4300_digits(self, tmp_path, capsys):
+        # The shortest vector of diag(10**5000, 10**5000 + 1) is printed and
+        # reported in full: str() of an int stops at 4,300 digits.
+        path, report = tmp_path / "big.lat", tmp_path / "r.json"
+        save_lattice(Basis(((10**5000, 0), (0, 10**5000 + 1))), str(path))
+        assert cli_main(["oracle", "--bound", "1", "--in", str(path), "--report", str(report)]) == 0
+        out = capsys.readouterr().out
+        shown = out.partition("vector=")[2].strip()
+        assert shown == "[-1" + "0" * 5000 + ", 0]"
+        assert shown == "[" + ", ".join(json.loads(report.read_text())["vector"]) + "]"
 
     def test_box_size_is_quoted_in_40_characters(self, rank8, capsys):
         # The box (2 * (10**4000 - 1) + 1)**8 has 32,003 digits; the message

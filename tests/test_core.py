@@ -29,6 +29,7 @@ from latforge import (
     diffuse,
     fuse,
     gram_det,
+    hill_climb,
     hnf,
     knapsack_basis,
     lll_reduce,
@@ -551,15 +552,16 @@ class TestReducedEchelon:
 class TestOneEchelonPerBasis:
     """``gram_det`` and ``hnf`` of one basis object share one elimination,
     kept beside its field, so certify's load check, reduction and
-    ``same_lattice`` eliminate each distinct basis once."""
+    ``same_lattice`` eliminate each distinct basis once, and a walk given no
+    determinant eliminates its input only."""
 
     @pytest.fixture
     def eliminated(self, monkeypatch) -> Counter:
         echelon, calls = core._reduced_echelon, Counter()
 
-        def counted(b, unit=False):
+        def counted(b):
             calls[b.rows] += 1
-            return echelon(b, unit)
+            return echelon(b)
 
         monkeypatch.setattr(core, "_reduced_echelon", counted)
         return calls
@@ -577,6 +579,22 @@ class TestOneEchelonPerBasis:
         assert is_lll_reduced(out)
         assert same_lattice(basis, out)
         assert eliminated == {basis.rows: 1, out.rows: 1}
+
+    @pytest.mark.parametrize(
+        "b",
+        [uniform_basis(8, seed=0), knapsack_basis(12, 60, seed=0)],
+        ids=["uniform8", "knapsack12"],
+    )
+    def test_hill_climb_given_no_gram_eliminates_its_input(self, b, eliminated):
+        # The walk's one determinant is that of its input, as in ldsf_run and
+        # run_pipeline: the reduced basis, a new object, is never eliminated.
+        # A fresh object, as uniform_basis eliminated the one it returned.
+        b = Basis(b.rows)
+        cfg = HcConfig(FixedRadius(2), sample_size=2, max_steps=2, alpha=LllParams("3/4"))
+        trace = hill_climb(b, cfg)
+        assert lll_reduce(b).rows != b.rows
+        assert eliminated == {b.rows: 1}
+        assert trace.initial_metrics.det_lattice == metrics(b).det_lattice
 
     def test_memo_is_not_part_of_the_value(self, eliminated):
         b = uniform_basis(5, -9, 9, seed=2)

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from latforge import knapsack_basis, uniform_basis
@@ -14,6 +16,31 @@ class TestUniform:
             assert b.m == b.n == 3
             assert all(0 <= x <= 1 for row in b.rows for x in row)
             assert _gram_det_bareiss(b) != 0
+
+    @pytest.mark.parametrize(
+        "m,lo,hi",
+        [(2, 3, 3), (1, 0, 0), (3, -1, -1), (2, 10**5000, 10**5000)],
+        ids=["2x2-of-3", "1x1-of-0", "3x3-of--1", "2x2-past-4300-digits"],
+    )
+    def test_a_range_with_no_independent_draw_is_rejected(self, m, lo, hi):
+        # Without the check these draw forever; the alarm ends the test.
+        previous = signal.signal(signal.SIGALRM, self.timed_out)
+        signal.alarm(5)
+        try:
+            with pytest.raises(ValueError, match="row draw is independent"):
+                uniform_basis(m, lo, hi)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @staticmethod
+    def timed_out(signum, frame):
+        raise TimeoutError("uniform_basis drew for 5 s")
+
+    @pytest.mark.parametrize("m,lo,hi", [(1, 7, 7), (1, -1, 0), (2, 0, 1), (4, -1, 0)])
+    def test_every_other_range_gives_a_basis(self, m, lo, hi):
+        b = uniform_basis(m, lo, hi, seed=1)
+        assert b.m == m and _gram_det_bareiss(b) != 0
 
 
 class TestKnapsack:

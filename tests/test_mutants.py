@@ -17,7 +17,6 @@ def test_every_old_text_occurs_once_in_src():
         m.name for m in MUTANTS
         if sum(text.count(m.old) for text in sources.values()) != 1
         or sources[m.path].count(m.old) != 1
-        or not all((ROOT / test.partition("::")[0]).is_file() for test in m.tests)
     ]
     assert stale == []
 

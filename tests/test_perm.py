@@ -46,10 +46,6 @@ class TestPermutation:
         assert compose(p, inverse(p)) == Permutation.identity(3).images
         assert compose(inverse(p), p) == Permutation.identity(3).images
 
-    def test_call_gives_the_image(self):
-        p = Permutation((3, 1, 2))
-        assert [p(i) for i in (1, 2, 3)] == [3, 1, 2]
-
     def test_compose_of_unequal_degrees(self):
         with pytest.raises(DegreeMismatchError):
             compose(Permutation.identity(3).images, Permutation.identity(4).images)
