@@ -3,10 +3,10 @@ tabulate what happens to the shortest vector."""
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from typing import Iterable, Sequence
 
-from .core import REAL, Basis, Record, _sqrt, format_real
+from .core import REAL, Basis, Record, _PLAIN, _sqrt, format_real
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
 from .perm import apply, check_radius, sample_at_radius
@@ -45,18 +45,19 @@ def summarize(radius: int, values: Sequence[Decimal]) -> SweepRow:
         # cancellation at the 50th digit.
         return SweepRow(radius, lo, hi, lo, Decimal(0), Decimal(0))
     n = Decimal(len(values))
-    mean = REAL.divide(sum(values, Decimal(0)), n)
-    var = REAL.divide(
-        sum((REAL.multiply(v - mean, v - mean) for v in values), Decimal(0)), n
-    )
-    return SweepRow(
-        radius=radius,
-        min=lo,
-        max=hi,
-        mean=mean,
-        std=REAL.sqrt(var),
-        range=hi - lo,
-    )
+    with localcontext(_PLAIN):
+        mean = REAL.divide(sum(values, Decimal(0)), n)
+        var = REAL.divide(
+            sum((REAL.multiply(v - mean, v - mean) for v in values), Decimal(0)), n
+        )
+        return SweepRow(
+            radius=radius,
+            min=lo,
+            max=hi,
+            mean=mean,
+            std=REAL.sqrt(var),
+            range=hi - lo,
+        )
 
 
 def _checked(b: Basis, radii: Iterable[int], n_samples: int) -> list[int]:

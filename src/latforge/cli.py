@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands: lll, hc, ldsf, hybrid, sweep, freq, oracle.  Every command
-reads the bracketed lattice format via --in and honors --seed and --alpha
-(one LllParams, made in cli_main); sweep and freq write their table as CSV
-(--out-csv, stdout otherwise).  Each handler returns a builder of its report
-payload, which cli_main calls and writes only when --report is given.
+reads the bracketed lattice format via --in; all but oracle take --seed and
+--alpha (one LllParams, made in cli_main).  sweep and freq write their table
+as CSV (--out-csv, stdout otherwise).  Each handler returns a builder of its
+report payload, which cli_main calls and writes only when --report is given.
 sweep and freq import the experiment harness (``bench``) when they run, so
 no other command loads it.
 Exit codes: 0 success, 1 usage or input error, 2 computation error.
@@ -70,22 +70,24 @@ def _decimal(text: str) -> Decimal:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # --alpha and --seed go to every command but oracle, which reads neither.
+    tuned = argparse.ArgumentParser(add_help=False)
+    tuned.add_argument(
         "--alpha",
         default="3/4",
         help="reduction parameter as an exact rational, e.g. 3/4 or 0.9999",
     )
-    common.add_argument("--seed", type=_int, default=0, help="64-bit experiment seed")
+    tuned.add_argument("--seed", type=_int, default=0, help="64-bit experiment seed")
+    common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--in", dest="infile", required=True, help="lattice file")
     common.add_argument("--report", help="write a JSON report to this file")
 
     parser = _Parser(prog="latforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("lll", parents=[common], help="single reduction")
+    sub.add_parser("lll", parents=[tuned, common], help="single reduction")
 
-    hc = sub.add_parser("hc", parents=[common], help="hill climbing reduction")
+    hc = sub.add_parser("hc", parents=[tuned, common], help="hill climbing reduction")
     hc.add_argument("--radius", type=_int, help="fixed-radius walk")
     hc.add_argument("--r0", type=_int, help="starting radius of a variable walk")
     hc.add_argument(
@@ -96,19 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     hc.add_argument("--p", type=_int, default=5, help="maximum steps")
     hc.add_argument("--target", type=_decimal, help="stop once this length is reached")
 
-    ld = sub.add_parser("ldsf", parents=[common], help="diffusion/fusion reduction")
+    ld = sub.add_parser("ldsf", parents=[tuned, common], help="diffusion/fusion reduction")
     ld.add_argument("--blocks", type=_int, required=True, help="initial block count")
     ld.add_argument("--inner", type=_int, default=1, help="inner iterations M")
     ld.add_argument("--outer", type=_int, default=1, help="outer iterations N")
     ld.add_argument("--target", type=_decimal, help="stop once this length is reached")
 
-    hy = sub.add_parser("hybrid", parents=[common], help="multistage pipeline")
+    hy = sub.add_parser("hybrid", parents=[tuned, common], help="multistage pipeline")
     hy.add_argument("--stages", required=True, help="JSON stage list file")
 
     for name, what in (
         ("sweep", "shortest-length statistics"), ("freq", "improvement frequency")
     ):
-        table = sub.add_parser(name, parents=[common], help=f"{what} per radius")
+        table = sub.add_parser(name, parents=[tuned, common], help=f"{what} per radius")
         table.add_argument("--radii", type=_radii, required=True, help="e.g. 5,10,15")
         table.add_argument("--samples", type=_int, default=100, help="permutations per radius")
         table.add_argument("--out-csv", help="write the table to this CSV file")
@@ -249,12 +251,13 @@ def cli_main(argv: Sequence[str]) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 1
     try:
-        args.alpha = LllParams(args.alpha)
+        echo = {"command": args.command, "input": args.infile}
+        if "alpha" in args:
+            args.alpha = LllParams(args.alpha)
+            echo.update(alpha=str(args.alpha.alpha), seed=args.seed)
         build_report = _COMMANDS[args.command](args, load_lattice(args.infile))
         if args.report:
-            payload = {**build_report(), "command": args.command, "seed": args.seed}
-            payload.update(alpha=str(args.alpha.alpha), input=args.infile)
-            _write(args.report, serialize.to_json(payload))
+            _write(args.report, serialize.to_json({**build_report(), **echo}))
         return 0
     except COMPUTATION_ERRORS as exc:
         print(f"latforge {args.command}: computation failed: {exc}", file=sys.stderr)

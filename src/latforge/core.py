@@ -20,6 +20,9 @@ from .errors import BoxTooLargeError, DependentRowsError
 
 # 50 significant digits (~166 bits of mantissa) for all reported reals.
 REAL = decimal.Context(prec=50)
+# Python's default context, fixed: the sums and differences of reported
+# reals and their 12-digit rendering do not follow the caller's context.
+_PLAIN = decimal.Context(prec=28, rounding=decimal.ROUND_HALF_EVEN)
 
 #: Default cap on the number of coefficient vectors svp_oracle may enumerate.
 DEFAULT_ENUM_BUDGET = 10_000_000
@@ -181,7 +184,8 @@ class BasisMetrics:
 
     @cached_property
     def log10_weight(self) -> Decimal:
-        total = sum((_log10(nsq) for nsq in self._normsqs), Decimal(0))
+        with decimal.localcontext(_PLAIN):
+            total = sum((_log10(nsq) for nsq in self._normsqs), Decimal(0))
         return REAL.divide(total, Decimal(2))
 
     @cached_property
@@ -233,7 +237,8 @@ def format_real(x: Decimal) -> str:
     """Fixed 12-significant-digit rendering; deterministic for a given value."""
     if x == 0:
         return "0"
-    return f"{x:.12g}"
+    with decimal.localcontext(_PLAIN):
+        return f"{x:.12g}"
 
 
 def _quoted(given: object) -> str:

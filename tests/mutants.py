@@ -123,6 +123,36 @@ MUTANTS = (
         ("tests/test_lll.py::TestParams::test_out_of_range_decimal_text_builds_no_fraction",),
     ),
     Mutant(
+        "LllParams: decimal text 0.25 let through to a Fraction", "lll.py",
+        'Decimal("0.25") < value < 1:',
+        'Decimal("0.25") <= value < 1:',
+        ("tests/test_lll.py::TestParams::test_out_of_range_decimal_text_builds_no_fraction",),
+    ),
+    Mutant(
+        "LllParams: decimal text 1 let through to a Fraction", "lll.py",
+        'Decimal("0.25") < value < 1:',
+        'Decimal("0.25") < value <= 1:',
+        ("tests/test_lll.py::TestParams::test_out_of_range_decimal_text_builds_no_fraction",),
+    ),
+    Mutant(
+        "LllParams: a text of exactly the digit cap called too long", "lll.py",
+        "0 < limit < sum(map(str.isdigit, given))",
+        "0 < limit <= sum(map(str.isdigit, given))",
+        ("tests/test_lll.py::TestParams::test_non_number_at_the_digit_cap_is_not_too_long",),
+    ),
+    Mutant(
+        "LllParams: a text called too long with the digit cap off", "lll.py",
+        "0 < limit < sum(map(str.isdigit, given))",
+        "0 <= limit < sum(map(str.isdigit, given))",
+        ("tests/test_lll.py::TestParams::test_non_number_with_the_cap_off_is_not_too_long",),
+    ),
+    Mutant(
+        "kernel: a revisited row's GSO recomputed", "lll.py",
+        "        if k > kmax:\n",
+        "        if k >= kmax:\n",
+        ("tests/test_lll.py::TestFirstTouch",),
+    ),
+    Mutant(
         "gso: sign flip in _gso_row", "core.py",
         "            u = (d[i + 1] * u - lk[i] * lj[i]) // d[i]\n",
         "            u = (d[i + 1] * u + lk[i] * lj[i]) // d[i]\n",
@@ -486,6 +516,15 @@ MUTANTS = (
         ("tests/test_gen.py::TestUniform::test_a_range_with_no_independent_draw_is_rejected",),
     ),
     Mutant(
+        "options: oracle takes --alpha and --seed again", "cli.py",
+        'sub.add_parser("oracle", parents=[common]',
+        'sub.add_parser("oracle", parents=[tuned, common]',
+        (
+            "tests/test_cli.py::TestOracle::test_takes_no_alpha_or_seed",
+            "tests/test_cli.py::TestOptions::test_every_option_is_read",
+        ),
+    ),
+    Mutant(
         "oracle: the vector printed by str", "cli.py",
         """vector=[{', '.join(map(int_str, result.vector))}]""",
         """vector={list(result.vector)}""",
@@ -496,6 +535,25 @@ MUTANTS = (
         "rng.randint(1 << (bits - 1), (1 << bits) - 1)",
         "rng.randint(1, (1 << bits) - 1)",
         ("tests/test_gen.py::TestKnapsack",),
+    ),
+    # Reported reals in one fixed decimal context, not the caller's.
+    Mutant(
+        "fixed context: log10_weight sums in the caller's", "core.py",
+        "        with decimal.localcontext(_PLAIN):\n            total = ",
+        "        if True:\n            total = ",
+        ("tests/test_core.py::TestCallerContext::test_log10_weight",),
+    ),
+    Mutant(
+        "fixed context: summarize in the caller's", "bench.py",
+        "    with localcontext(_PLAIN):\n",
+        "    if True:\n",
+        ("tests/test_core.py::TestCallerContext::test_summarize",),
+    ),
+    Mutant(
+        "fixed context: format_real rounds in the caller's", "core.py",
+        "    with decimal.localcontext(_PLAIN):\n        return f",
+        "    if True:\n        return f",
+        ("tests/test_core.py::TestCallerContext::test_format_real",),
     ),
     # Stopping bounds and lattice equality.
     Mutant(

@@ -6,6 +6,8 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -582,6 +584,19 @@ class TestOracle:
         assert shown == "[-1" + "0" * 5000 + ", 0]"
         assert shown == "[" + ", ".join(json.loads(report.read_text())["vector"]) + "]"
 
+    @pytest.mark.parametrize("option", [["--alpha", "3/4"], ["--seed", "1"]], ids=["alpha", "seed"])
+    def test_takes_no_alpha_or_seed(self, id4, capsys, option):
+        # svp_oracle reads neither: the box search is exhaustive and draws nothing.
+        assert cli_main(["oracle", "--in", id4, *option]) == 1
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    def test_report_echoes_no_alpha_or_seed(self, id4, tmp_path):
+        report = tmp_path / "r.json"
+        assert cli_main(["oracle", "--in", id4, "--report", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        assert {"command", "input", "vector"} <= payload.keys()
+        assert not {"alpha", "seed"} & payload.keys()
+
     def test_box_size_is_quoted_in_40_characters(self, rank8, capsys):
         # The box (2 * (10**4000 - 1) + 1)**8 has 32,003 digits; the message
         # quotes it cut to 40 characters, as every other quoted number.
@@ -611,8 +626,10 @@ class TestOptions:
         return {n.name: n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
 
     def test_every_option_is_read(self):
-        # Each option of a command is read as args.<dest> by its handler or
-        # by cli_main: none is accepted and ignored.
+        # Each option of a command is --in or --report, which cli_main reads,
+        # or is read as args.<dest> by the command's handler: none is
+        # accepted and ignored, and cli_main's echo of it into the report
+        # does not count as a read.
         functions = self.functions()
 
         def args_read(name: str) -> set[str]:
@@ -622,7 +639,8 @@ class TestOptions:
                 and isinstance(n.value, ast.Name) and n.value.id == "args"
             }
 
-        shared = args_read("cli_main")
+        shared = {"infile", "report"}
+        assert shared <= args_read("cli_main")
         (commands,) = [
             a.choices for a in cli.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
@@ -635,7 +653,9 @@ class TestOptions:
             if not isinstance(action, argparse._HelpAction)
             and action.dest not in shared | args_read(handler.__name__)
         ]
-        assert unread == []
+        # lll draws nothing, yet keeps --seed: perfbench's workloads pass
+        # --seed to every command they run, lll-knapsack1000 included.
+        assert unread == ["lll --seed"]
 
     def test_only_cli_main_writes_a_report(self):
         writers = [
@@ -696,6 +716,31 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert cli_main(["--help"]) == 0
+
+
+class TestReadme:
+    """The README's commands and Library example are what the code accepts."""
+
+    TEXT = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+    def blocks(self, language: str) -> list[str]:
+        return re.findall(rf"^```{language}\n(.*?)^```$", self.TEXT, re.M | re.S)
+
+    def test_every_command_line_parses(self):
+        # Parsed, not run: the lines name files that are not here, and
+        # --psl2 67 needs a basis of rank 68.
+        lines = [
+            line for block in self.blocks("sh") for line in block.splitlines()
+            if line.startswith("latforge ")
+        ]
+        assert len(lines) == 9
+        commands = [cli.build_parser().parse_args(shlex.split(line)[1:]).command for line in lines]
+        assert set(commands) == set(cli._COMMANDS)
+
+    def test_library_block_runs(self, capsys):
+        (library,) = self.blocks("python")
+        exec(compile(library, "README.md", "exec"), {})
+        assert capsys.readouterr().out.strip()
 
 
 # Inputs for the boundary fuzz: small enough that every command finishes in
@@ -847,7 +892,8 @@ def _fuzz_argv(data, lat: str, stages: str) -> list[str]:
         st.sampled_from(["lll", "hc", "ldsf", "hybrid", "sweep", "freq", "oracle"])
     )
     alpha = data.draw(_ALPHA_TEXT)
-    argv = [command, "--in", lat, "--alpha", alpha]
+    # oracle takes no --alpha; the draw stays, so every other example holds.
+    argv = [command, "--in", lat] + (["--alpha", alpha] if command != "oracle" else [])
     if command == "hc":
         mode = data.draw(st.sampled_from(["--radius", "--r0", "--psl2"]))
         argv += [mode, data.draw(_SMALL), "--k", "2", "--p", "1"]

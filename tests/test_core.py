@@ -1,5 +1,6 @@
 import ast
 import copy
+import decimal
 import enum
 import itertools
 import pickle
@@ -39,6 +40,7 @@ from latforge import (
     uniform_basis,
 )
 from latforge import core
+from latforge.bench import summarize
 from latforge.core import int_str
 from latforge.latfile import load_lattice, save_lattice
 from latforge.lll import is_lll_reduced
@@ -401,6 +403,32 @@ def _check_library_built(out: Basis) -> None:
     assert hash(out) == hash(twin)
     back = pickle.loads(pickle.dumps(out))
     assert back == out and hash(back) == hash(out)
+
+
+class TestCallerContext:
+    """Reported reals do not follow the caller's decimal context: their sums,
+    differences and 12-digit rendering run in Python's default one."""
+
+    CALLER = {"prec": 4, "rounding": decimal.ROUND_DOWN}
+
+    def test_log10_weight(self):
+        b = lll_reduce(knapsack_basis(12, 40, seed=3))
+        with decimal.localcontext(**self.CALLER):
+            weight = metrics(b).log10_weight
+        assert weight == Decimal("13.47132198453033187320266181")
+
+    def test_summarize(self):
+        values = [core.REAL.sqrt(Decimal(k)) for k in (2, 3, 5)]
+        with decimal.localcontext(**self.CALLER):
+            row = summarize(3, values)
+        assert row.mean == Decimal("1.7941107824805873462461029116666666666666666666667")
+        assert row.std == Decimal("0.33837824031729334873290485352997170559623129732635")
+        assert row.range == Decimal("0.8218544151266946476074849445")
+
+    def test_format_real(self):
+        with decimal.localcontext(**self.CALLER):
+            shown = core.format_real(Decimal("1.2345678901289"))
+        assert shown == "1.23456789013"
 
 
 class TestLibraryBuiltBases:

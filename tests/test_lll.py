@@ -1,8 +1,10 @@
+import sys
 from fractions import Fraction
 
 import pytest
 
 from latforge import (
+    lll,
     perm,
     Basis,
     DependentRowsError,
@@ -46,7 +48,7 @@ class TestParams:
         with pytest.raises(ValueError, match=r"alpha must lie in \(1/4, 1\), got '"):
             LllParams(text)
 
-    @pytest.mark.parametrize("text", ["2.5", "1e999999999"])
+    @pytest.mark.parametrize("text", ["2.5", "1e999999999", "0.25", "1"])
     def test_out_of_range_decimal_text_builds_no_fraction(self, text, monkeypatch):
         # The Fraction of "1e999999999" has a billion-digit numerator, so the
         # range check on the decimal text must come before any Fraction.
@@ -91,10 +93,52 @@ class TestParams:
         assert message.startswith(f"alpha text is too long (over 4300 digits): '{text[:4]}")
         assert message.endswith("...") and len(message) < 90
 
+    def test_non_number_at_the_digit_cap_is_not_too_long(self):
+        # 4,300 digits are within the cap: the text is just not a number.
+        with pytest.raises(ValueError, match="alpha is not an exact rational: '1111"):
+            LllParams("1" * 4300 + "x")
+
+    def test_non_number_with_the_cap_off_is_not_too_long(self, monkeypatch):
+        # A limit of 0 means no cap, so no text is too long.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        with pytest.raises(ValueError, match="alpha is not an exact rational: '1x'"):
+            LllParams("1x")
+
     def test_error_quotes_truncated_text(self):
         with pytest.raises(ValueError) as err:
             LllParams("1/" + "7" * 100)
         assert str(err.value) == f"alpha must lie in (1/4, 1), got '1/{'7' * 34}..."
+
+
+class TestFirstTouch:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: knapsack_basis(12, 60, seed=0),
+            lambda: knapsack_basis(12, 200, seed=0),
+            lambda: uniform_basis(10, seed=0),
+            # Reduced in the test, not at collection, so that a kernel
+            # mutant that loops cannot stop this file from being collected.
+            lambda: perm.apply(
+                lll_reduce(knapsack_basis(12, 60, seed=0)),
+                perm.sample_at_radius(12, 8, derive_rng(0, "first touch")),
+            ),
+        ],
+        ids=["knapsack60", "knapsack200", "uniform10", "permuted-reduced"],
+    )
+    def test_each_row_gets_its_gso_once_in_order(self, make, monkeypatch):
+        # A swap keeps the GSO data of the rows it moves up to date, so a
+        # row revisited after one is not recomputed.
+        b = make()
+        touched, gso_row = [], lll._gso_row
+
+        def counted(rows, d, lam, k):
+            touched.append(k)
+            return gso_row(rows, d, lam, k)
+
+        monkeypatch.setattr(lll, "_gso_row", counted)
+        lll_reduce(b)
+        assert touched == list(range(b.m))
 
 
 class TestReduce:

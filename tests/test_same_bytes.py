@@ -71,7 +71,7 @@ EXPECTED = {
     "hybrid": (0, "33fe9784efe42b0f", None, "86dc30143b0bdb1a", None),
     "sweep": (0, "9398fa2bd11e1b20", "3596c40f47d21a1a", None, None),
     "freq": (0, "4a21d54f9506fdef", "961e37d1ecd55b75", None, None),
-    "oracle": (0, "e5cb1ba91e389fa5", None, "e9ddd72e1f9f87e2", None),
+    "oracle": (0, "8c3a2a7c4a2ff513", None, "e9ddd72e1f9f87e2", None),
     "exit1-position": (1, None, None, None, "52d4db58a592d9f4"),
     "exit2-budget": (2, None, None, None, "96f1e027ab93d1cf"),
 }
