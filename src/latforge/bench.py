@@ -6,7 +6,7 @@ from __future__ import annotations
 from decimal import Decimal, localcontext
 from typing import Iterable, Sequence
 
-from .core import REAL, Basis, Record, _PLAIN, _sqrt, format_real
+from .core import REAL, Basis, Record, _PLAIN, _quoted, _sqrt, format_real
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng
 from .perm import apply, check_radius, sample_at_radius
@@ -60,20 +60,28 @@ def summarize(radius: int, values: Sequence[Decimal]) -> SweepRow:
         )
 
 
-def _checked(b: Basis, radii: Iterable[int], n_samples: int) -> list[int]:
-    """The radii as a list, each feasible for ``b``; checked before any reduction."""
+def _sampled_shortest_sq(
+    b: Basis, radii: Iterable[int], n_samples: int, alpha: LllParams, seed: int
+) -> list[tuple[int, list[int]]]:
+    """(radius, the least squared row norm of each reduced permuted copy of
+    ``b``) per radius, in order.  Before any reduction, every radius must be
+    feasible for ``b``, and then none may be given twice."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     radii = list(radii)
     for r in radii:
         check_radius(b.m, r)
-    return radii
-
-
-def _shortest_sq_after(b: Basis, r: int, alpha: LllParams, seed: int, i: int) -> int:
-    pi = sample_at_radius(b.m, r, derive_rng(seed, "sweep", r, i))
-    reduced = lll_reduce(apply(b, pi), alpha)
-    return min(reduced.row_normsq(j) for j in range(reduced.m))
+    for at, r in enumerate(radii):
+        if r in radii[:at]:
+            raise ValueError(f"radius {_quoted(r)} is repeated")
+    out = []
+    for r in radii:
+        copies = (
+            lll_reduce(apply(b, sample_at_radius(b.m, r, derive_rng(seed, "sweep", r, i))), alpha)
+            for i in range(n_samples)
+        )
+        out.append((r, [min(c.row_normsq(j) for j in range(c.m)) for c in copies]))
+    return out
 
 
 def radius_sweep(
@@ -85,13 +93,8 @@ def radius_sweep(
 ) -> SweepResult:
     """For each radius, reduce ``n_samples`` permuted copies of ``b`` and
     collect the distribution of the resulting shortest-vector lengths."""
-    rows = []
-    for r in _checked(b, radii, n_samples):
-        lengths = [
-            _sqrt(_shortest_sq_after(b, r, alpha, seed, i)) for i in range(n_samples)
-        ]
-        rows.append(summarize(r, lengths))
-    return SweepResult(rows=tuple(rows))
+    samples = _sampled_shortest_sq(b, radii, n_samples, alpha, seed)
+    return SweepResult(rows=tuple(summarize(r, [_sqrt(sq) for sq in sqs]) for r, sqs in samples))
 
 
 def improvement_frequency(
@@ -108,12 +111,5 @@ def improvement_frequency(
     on squared norms.
     """
     base_sq = min(b_star.row_normsq(j) for j in range(b_star.m))
-    out = {}
-    for r in _checked(b_star, radii, n_samples):
-        wins = sum(
-            _shortest_sq_after(b_star, r, alpha, seed, i) < base_sq
-            for i in range(n_samples)
-        )
-        out[r] = wins / n_samples
-    return out
-
+    samples = _sampled_shortest_sq(b_star, radii, n_samples, alpha, seed)
+    return {r: sum(sq < base_sq for sq in sqs) / n_samples for r, sqs in samples}

@@ -16,7 +16,7 @@ from .core import (
     Basis, BasisMetrics, Record, _exact_target, _quoted, gram_det, metrics, reduction_key,
 )
 from .errors import BadStageParamsError, StageInfeasibleError
-from .ldsf import LdsfConfig, LdsfTrace, ldsf_run, sigma_candidates
+from .ldsf import LdsfConfig, ldsf_run, sigma_candidates
 from .lll import LllParams, lll_reduce
 from .parallel import derive_rng, derive_seed
 
@@ -116,14 +116,6 @@ def _ldsf_cfg(stage: StageSpec, seed: int) -> LdsfConfig:
     )
 
 
-def _trace_extrema(traces: list[LdsfTrace]) -> tuple[Decimal, Decimal]:
-    fused = [r.fused_metrics for t in traces for r in t.rounds]
-    return (
-        min(f.shortest for f in fused),
-        min(f.longest for f in fused),
-    )
-
-
 def run_pipeline(
     b0: Basis, stages: list[StageSpec], seed: int = 0, gram: int | None = None
 ) -> PipelineReport:
@@ -147,25 +139,21 @@ def run_pipeline(
     reports: list[StageReport] = []
     for index, stage in enumerate(stages, start=1):
         stage_started = time.perf_counter()
-        stage_seed = derive_seed(seed, "stage", index)
         if stage.kind == KIND_LLL:
             current = lll_reduce(current, stage.alpha)
-            after = metrics(current, gram)
-            llb, lub = after.shortest, after.longest
-        elif stage.kind == KIND_LDSF:
-            trace = ldsf_run(current, _ldsf_cfg(stage, stage_seed), gram)
-            current = trace.final_basis
-            after = metrics(current, gram)
-            llb, lub = _trace_extrema([trace])
+            traces = []
         else:
-            candidates = sigma_candidates(
-                stage.sample_n, current, _ldsf_cfg(stage, stage_seed),
-                derive_rng(seed, "stage", index, "perms"), gram,
-            )
-            _, best = min(candidates, key=lambda c: reduction_key(c[1].final_basis))
-            current = best.final_basis
-            after = metrics(current, gram)
-            llb, lub = _trace_extrema([t for _, t in candidates])
+            cfg = _ldsf_cfg(stage, derive_seed(seed, "stage", index))
+            if stage.kind == KIND_LDSF:
+                traces = [ldsf_run(current, cfg, gram)]
+            else:
+                rng = derive_rng(seed, "stage", index, "perms")
+                traces = [t for _, t in sigma_candidates(stage.sample_n, current, cfg, rng, gram)]
+            current = min((t.final_basis for t in traces), key=reduction_key)
+        after = metrics(current, gram)
+        # The least fused shortest and longest rows over the stage's rounds,
+        # or the output's own when the stage fused nothing.
+        fused = [r.fused_metrics for t in traces for r in t.rounds] or [after]
         reports.append(
             StageReport(
                 index=index,
@@ -174,8 +162,8 @@ def run_pipeline(
                 sample_n=stage.sample_n,
                 before=before,
                 after=after,
-                llb=llb,
-                lub=lub,
+                llb=min(f.shortest for f in fused),
+                lub=min(f.longest for f in fused),
                 seconds=time.perf_counter() - stage_started,
             )
         )

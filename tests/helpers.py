@@ -41,13 +41,21 @@ here, reading only ``Permutation.images`` and importing nothing from that
 module: ``moved_points`` (the radius) and ``side``, ``hamming``, the sphere
 size ``count_at_radius`` in closed form next to ``brute_force_count``, and
 ``compose``/``inverse`` on image tuples.
+
+``sampled_shortest_sq`` is the sampling that ``radius_sweep`` and
+``improvement_frequency`` share, written from their docstrings with
+``hashlib.blake2b`` and ``random.Random``, not the library's seed or
+sampler code: each copy's seed, sphere draw, row order and reduction
+(``lll_reduce_reference``).
 """
 
 from __future__ import annotations
 
 import decimal
+import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -445,6 +453,44 @@ def lll_reduce_reference(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
                 size_reduce(k, l)
             k += 1
     return Basis(rows)
+
+
+def _seeded(*parts) -> random.Random:
+    """The generator of ``derive_seed``'s docstring: blake2b over the parts
+    joined by U+001F, an int rendered by ``str`` and any other part by
+    ``repr``, the 8-byte digest read big-endian."""
+    text = "\x1f".join(str(p) if type(p) is int else repr(p) for p in parts)
+    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
+    return random.Random(int.from_bytes(digest, "big"))
+
+
+def sampled_shortest_sq(
+    b: Basis, radii, n_samples: int, alpha: LllParams, seed: int
+) -> dict[int, list[int]]:
+    """Per radius, the least squared row norm of each of ``n_samples``
+    reduced copies of ``b``.  Copy i at radius r draws from seed parts
+    (seed, "sweep", r, i): a sorted r-subset of the row positions, then
+    shuffles of it until no position keeps its row; row ``pos`` of the
+    copy is row ``img`` of ``b`` for each pair, every other row stays."""
+    out = {}
+    for r in radii:
+        lengths = []
+        for i in range(n_samples):
+            rng = _seeded(seed, "sweep", r, i)
+            order = list(range(b.m))
+            if r:
+                positions = sorted(rng.sample(range(b.m), r))
+                shuffled = positions[:]
+                while True:
+                    rng.shuffle(shuffled)
+                    if all(a != c for a, c in zip(shuffled, positions)):
+                        break
+                for pos, img in zip(positions, shuffled):
+                    order[pos] = img
+            copy = lll_reduce_reference(Basis([b.rows[j] for j in order]), alpha)
+            lengths.append(min(_dot(row, row) for row in copy.rows))
+        out[r] = lengths
+    return out
 
 
 class _Scanner:

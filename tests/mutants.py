@@ -462,18 +462,54 @@ MUTANTS = (
     ),
     Mutant(
         "sigma stage: the first candidate kept", "pipeline.py",
-        "            _, best = min(candidates, key=lambda c: reduction_key(c[1].final_basis))\n",
-        "            _, best = candidates[0]\n",
+        "            current = min((t.final_basis for t in traces), key=reduction_key)\n",
+        "            current = traces[0].final_basis\n",
         ("tests/test_pipeline.py::TestSigmaStageDecisions::test_keeps_the_least_reduction_key",),
     ),
     Mutant(
-        "_trace_extrema: lub the max of longest", "pipeline.py",
-        "        min(f.longest for f in fused),\n",
-        "        max(f.longest for f in fused),\n",
+        "stage extrema: lub the max of longest", "pipeline.py",
+        "                lub=min(f.longest for f in fused),\n",
+        "                lub=max(f.longest for f in fused),\n",
         (
             "tests/test_pipeline.py::TestSigmaStageDecisions"
             "::test_llb_and_lub_are_the_least_fused_values",
         ),
+    ),
+    Mutant(
+        "stage extrema: llb the max of shortest", "pipeline.py",
+        "                llb=min(f.shortest for f in fused),\n",
+        "                llb=max(f.shortest for f in fused),\n",
+        (
+            "tests/test_pipeline.py::TestStageDecisions"
+            "::test_ldsf_stage_llb_is_the_least_fused_shortest",
+        ),
+    ),
+    Mutant(
+        "stage extrema: an ldsf stage reports its output's", "pipeline.py",
+        "        fused = [r.fused_metrics for t in traces for r in t.rounds] or [after]\n",
+        "        fused = [after]\n",
+        (
+            "tests/test_pipeline.py::TestStageDecisions"
+            "::test_ldsf_stage_lub_is_the_least_over_its_rounds",
+        ),
+    ),
+    Mutant(
+        "stage extrema: an lll stage reports its input's", "pipeline.py",
+        "        fused = [r.fused_metrics for t in traces for r in t.rounds] or [after]\n",
+        "        fused = [r.fused_metrics for t in traces for r in t.rounds] or [before]\n",
+        ("tests/test_pipeline.py::TestStageDecisions::test_lll_stage_reports_its_output",),
+    ),
+    Mutant(
+        "ldsf stage: the best basis handed on", "pipeline.py",
+        "            current = min((t.final_basis for t in traces), key=reduction_key)\n",
+        "            current = min((t.best_basis for t in traces), key=reduction_key)\n",
+        ("tests/test_pipeline.py::TestStageDecisions::test_ldsf_stage_hands_on_its_final_basis",),
+    ),
+    Mutant(
+        "lll stage: the default alpha", "pipeline.py",
+        "            current = lll_reduce(current, stage.alpha)\n",
+        "            current = lll_reduce(current)\n",
+        ("tests/test_pipeline.py::TestStageDecisions::test_lll_stage_reduces_at_its_own_alpha",),
     ),
     Mutant(
         "summarize: sigma over n - 1", "bench.py",
@@ -483,11 +519,26 @@ MUTANTS = (
     ),
     Mutant(
         "freq: a tie counts as a win", "bench.py",
-        "            _shortest_sq_after(b_star, r, alpha, seed, i) < base_sq\n",
-        "            _shortest_sq_after(b_star, r, alpha, seed, i) <= base_sq\n",
+        "    return {r: sum(sq < base_sq for sq in sqs) / n_samples for r, sqs in samples}\n",
+        "    return {r: sum(sq <= base_sq for sq in sqs) / n_samples for r, sqs in samples}\n",
         (
             "tests/test_bench.py::TestImprovementFrequency::test_identity_never_improves",
             "tests/test_bench.py::TestImprovementFrequency::test_radius_zero_never_improves",
+        ),
+    ),
+    Mutant(
+        "sweep/freq: the seed parts swapped", "bench.py",
+        'derive_rng(seed, "sweep", r, i)',
+        'derive_rng(seed, "sweep", i, r)',
+        ("tests/test_bench.py::TestAgainstTheReference",),
+    ),
+    Mutant(
+        "sweep/freq: a repeated radius sampled again", "bench.py",
+        "        if r in radii[:at]:\n",
+        "        if False:\n",
+        (
+            "tests/test_bench.py::TestRepeatedRadius",
+            "tests/test_cli.py::TestSweepAndFreq::test_repeated_radius_is_usage_error",
         ),
     ),
     # The CLI's exit mapping, the report views and the generators.

@@ -1,6 +1,8 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
+
 from latforge import (
     Basis,
     LllParams,
@@ -11,7 +13,10 @@ from latforge import (
     radius_sweep,
     uniform_basis,
 )
+from latforge import bench
 from latforge.bench import summarize
+
+from helpers import _sqrt, sampled_shortest_sq
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -85,3 +90,37 @@ class TestImprovementFrequency:
         for value in freqs.values():
             assert 0.0 <= value <= 1.0
             assert (value * 8) == int(value * 8)
+
+
+@pytest.fixture(scope="module")
+def reduced10():
+    """A reduced basis whose re-reduced copies differ: at radii 4 and 8,
+    20 samples, seed 1, some copies are shorter and some are not."""
+    return lll_reduce(uniform_basis(10, -99, 99, seed=1), A34)
+
+
+class TestAgainstTheReference:
+    """The sampling ``radius_sweep`` and ``improvement_frequency`` share,
+    against ``sampled_shortest_sq`` of helpers.py."""
+
+    def test_improvement_frequency(self, reduced10):
+        base = min(reduced10.row_normsq(j) for j in range(reduced10.m))
+        lengths = sampled_shortest_sq(reduced10, [4, 8], 20, A34, seed=1)
+        expected = {r: sum(x < base for x in xs) / 20 for r, xs in lengths.items()}
+        assert all(0 < f < 1 for f in expected.values())  # neither 0 nor 1
+        assert improvement_frequency(reduced10, [4, 8], 20, A34, seed=1) == expected
+
+    def test_radius_sweep(self, reduced10):
+        lengths = sampled_shortest_sq(reduced10, [8, 4], 20, A34, seed=1)
+        assert all(len(set(xs)) > 1 for xs in lengths.values())  # a nonzero spread
+        expected = tuple(summarize(r, [_sqrt(x) for x in xs]) for r, xs in lengths.items())
+        assert radius_sweep(reduced10, [8, 4], 20, A34, seed=1).rows == expected
+
+
+class TestRepeatedRadius:
+    @pytest.mark.parametrize("run", [radius_sweep, improvement_frequency])
+    def test_rejected_before_any_reduction(self, run, monkeypatch):
+        monkeypatch.setattr(bench, "lll_reduce", None)  # a reduction would fail
+        b = uniform_basis(6, -99, 99, seed=1)
+        with pytest.raises(ValueError, match="^radius 4 is repeated$"):
+            run(b, [4, 6, 4, 6], 2, A34, seed=1)

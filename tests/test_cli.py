@@ -514,6 +514,18 @@ class TestSweepAndFreq:
         assert reductions == []
 
     @pytest.mark.parametrize("command", ["sweep", "freq"])
+    def test_repeated_radius_is_usage_error(self, rank8, tmp_path, capsys, monkeypatch, command):
+        reductions = []
+        monkeypatch.setattr(
+            bench, "lll_reduce", lambda *a: reductions.append(a) or lll_reduce(*a)
+        )
+        out = tmp_path / "t.csv"
+        argv = [command, "--radii", "6,4,6,4", "--samples", "2", "--in", rank8]
+        assert cli_main([*argv, "--out-csv", str(out)]) == 1
+        assert f"latforge {command}: error: radius 6 is repeated" in capsys.readouterr().err
+        assert reductions == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "freq"])
     def test_zero_samples_is_usage_error(self, rank8, capsys, command):
         assert cli_main([command, "--radii", "4", "--samples", "0", "--in", rank8]) == 1
         assert f"latforge {command}: error: n_samples must be >= 1" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from latforge import (
     hnf,
     is_lll_reduced,
     knapsack_basis,
+    ldsf_run,
     lll_reduce,
     reduction_key,
     run_pipeline,
@@ -188,6 +189,63 @@ class TestSigmaStageDecisions:
         assert min(longest) < max(longest)
         assert report.stage_reports[0].lub == min(longest)
         assert report.stage_reports[0].llb == min(f.shortest for f in fused)
+
+
+class TestStageDecisions:
+    """What an ldsf or an lll stage hands on and reports.  Each test first
+    checks that its input tells the right decision from the wrong one."""
+
+    LDSF = StageSpec(kind=KIND_LDSF, alpha=A34, blocks=3, inner_iters=2, outer_iters=2)
+
+    @pytest.fixture
+    def ldsf_stage(self, monkeypatch):
+        """b -> the report of the LDSF stage alone on b at seed 0, and its trace."""
+        seen = []
+
+        def recording(*args):
+            seen.append(ldsf_run(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(pipeline, "ldsf_run", recording)
+
+        def run(b):
+            report = run_pipeline(b, [self.LDSF], seed=0)
+            (trace,) = seen
+            return report, trace
+
+        return run
+
+    def test_ldsf_stage_hands_on_its_final_basis(self, ldsf_stage):
+        report, trace = ldsf_stage(knapsack_basis(12, bits=40, seed=0))
+        assert trace.final_basis != trace.best_basis
+        assert report.final_basis == trace.final_basis
+
+    def test_ldsf_stage_lub_is_the_least_over_its_rounds(self, ldsf_stage):
+        report, trace = ldsf_stage(uniform_basis(8, -99, 99, seed=1))
+        longest = [r.fused_metrics.longest for r in trace.rounds]
+        stage = report.stage_reports[0]
+        assert min(longest) < stage.after.longest
+        assert stage.lub == min(longest)
+
+    def test_ldsf_stage_llb_is_the_least_fused_shortest(self, ldsf_stage):
+        report, trace = ldsf_stage(knapsack_basis(12, bits=40, seed=0))
+        shortest = [r.fused_metrics.shortest for r in trace.rounds]
+        assert min(shortest) < max(shortest)
+        assert report.stage_reports[0].llb == min(shortest)
+
+    def test_lll_stage_reduces_at_its_own_alpha(self):
+        b = uniform_basis(10, seed=0)
+        a99 = LllParams("99/100")
+        assert lll_reduce(b, A34) != lll_reduce(b, a99)
+        report = run_pipeline(b, [StageSpec(kind=KIND_LLL, alpha=a99)], seed=0)
+        assert report.final_basis == lll_reduce(b, a99)
+
+    def test_lll_stage_reports_its_output(self):
+        b = uniform_basis(10, seed=0)
+        given, out = reference_metrics(b), reference_metrics(lll_reduce(b, A34))
+        assert given.shortest != out.shortest and given.longest != out.longest
+        stage = run_pipeline(b, [StageSpec(kind=KIND_LLL, alpha=A34)], seed=0).stage_reports[0]
+        assert (stage.llb, stage.lub) == (out.shortest, out.longest)
 
 
 class TestSerialization:

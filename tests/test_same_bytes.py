@@ -20,6 +20,7 @@ import pytest
 from latforge import knapsack_basis, uniform_basis
 from latforge.cli import cli_main
 from latforge.latfile import save_lattice
+from latforge.lll import lll_reduce
 
 STAGES = [
     {"kind": "ldsf", "blocks": 3},
@@ -56,6 +57,14 @@ RUNS = {
         "freq", "--radii", "3,12", "--samples", "6", "--in", "k12.lat",
         "--out-csv", "t.csv", *REPORT,
     ],
+    "sweep-reduced": [
+        "sweep", "--radii", "4,8", "--samples", "6", "--seed", "1", "--in", "u10r.lat",
+        "--out-csv", "t.csv", *REPORT,
+    ],
+    "freq-reduced": [
+        "freq", "--radii", "4,8", "--samples", "6", "--seed", "1", "--in", "u10r.lat",
+        "--out-csv", "t.csv", *REPORT,
+    ],
     "oracle": ["oracle", "--bound", "2", "--in", "u5.lat", *REPORT],
     "exit1-position": ["lll", "--in", "bad.lat", *REPORT],
     "exit2-budget": ["oracle", "--bound", "9", "--budget", "100", "--in", "u5.lat", *REPORT],
@@ -71,6 +80,8 @@ EXPECTED = {
     "hybrid": (0, "33fe9784efe42b0f", None, "86dc30143b0bdb1a", None),
     "sweep": (0, "9398fa2bd11e1b20", "3596c40f47d21a1a", None, None),
     "freq": (0, "4a21d54f9506fdef", "961e37d1ecd55b75", None, None),
+    "sweep-reduced": (0, "94c03aca4bda7d39", "ef93eead15807cd7", None, None),
+    "freq-reduced": (0, "fa73cbe3272d387b", "ca8a4ad47acd21d3", None, None),
     "oracle": (0, "8c3a2a7c4a2ff513", None, "e9ddd72e1f9f87e2", None),
     "exit1-position": (1, None, None, None, "52d4db58a592d9f4"),
     "exit2-budget": (2, None, None, None, "96f1e027ab93d1cf"),
@@ -90,6 +101,8 @@ def outputs(name: str) -> list:
     and return its exit code and then its outputs in ``FIELDS`` order."""
     save_lattice(knapsack_basis(12, 40, seed=3), "k12.lat")
     save_lattice(uniform_basis(5, -20, 20, seed=2), "u5.lat")
+    # Reduced, so that its re-reduced copies differ: freq reads 0.833 and 0.667.
+    save_lattice(lll_reduce(uniform_basis(10, -99, 99, seed=1)), "u10r.lat")
     Path("bad.lat").write_text("[[1 0]\n[0 x1]]\n", encoding="utf-8")
     Path("stages.json").write_text(json.dumps(STAGES), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
