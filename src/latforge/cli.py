@@ -165,7 +165,7 @@ def _cmd_hc(args, lattice: LatticeFile) -> Callable[[], dict]:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = hill_climb(lattice.basis, cfg, lattice.gram)
+    trace = hill_climb(lattice.basis, cfg)
     print(
         f"hc: best shortest={trace.best_metrics.shortest:.6g} "
         f"steps={len(trace.steps)} reached_target={trace.reached_target}"
@@ -182,7 +182,7 @@ def _cmd_ldsf(args, lattice: LatticeFile) -> Callable[[], dict]:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = ldsf_run(lattice.basis, cfg, lattice.gram)
+    trace = ldsf_run(lattice.basis, cfg)
     print(
         f"ldsf: best shortest={trace.best_vector_norm:.6g} "
         f"rounds={len(trace.rounds)} reached_target={trace.reached_target}"
@@ -192,7 +192,7 @@ def _cmd_ldsf(args, lattice: LatticeFile) -> Callable[[], dict]:
 
 def _cmd_hybrid(args, lattice: LatticeFile) -> Callable[[], dict]:
     stages = load_stages(args.stages, args.alpha)
-    report = run_pipeline(lattice.basis, stages, seed=args.seed, gram=lattice.gram)
+    report = run_pipeline(lattice.basis, stages, seed=args.seed)
     last = report.stage_reports[-1]
     print(
         f"hybrid: stages={len(report.stage_reports)} "

@@ -84,8 +84,8 @@ class Record:
 
     def __getstate__(self) -> dict:
         """The fields by name: what a copy or a pickle carries.  A value a
-        subclass keeps beside them in ``__dict__`` (``Basis._echelon``) is
-        recomputed by the copy, never handed to it."""
+        subclass keeps beside them in ``__dict__`` (``Basis._echelon``,
+        ``gram_det``'s memo) is recomputed by the copy, never handed to it."""
         return dict(zip(self._fields, self._values()))
 
     def replace(self, **changes):
@@ -121,14 +121,17 @@ class Basis(Record):
             raise ValueError(f"rank {len(rows)} exceeds ambient dimension {n}")
 
     @classmethod
-    def _built(cls, rows: tuple[tuple[int, ...], ...]) -> "Basis":
+    def _built(cls, rows: tuple[tuple[int, ...], ...], like: "Basis | None" = None) -> "Basis":
         """A basis of rows the library built itself: a tuple of equal-length
         int tuples, at most as many as their length, taken from other bases
         or computed from them by integer arithmetic.  They are bound as
         given, with no copy and no check; rows from outside go through
-        ``Basis(rows)``.  An LDSF round builds 2k + 2 bases this way."""
+        ``Basis(rows)``.  An LDSF round builds 2k + 3 bases this way.  With
+        ``like``, a basis of the same lattice, they keep its ``gram_det`` if known."""
         b = object.__new__(cls)
         b.__dict__["rows"] = rows
+        if like is not None and "_gram_det" in like.__dict__:
+            b.__dict__["_gram_det"] = like._gram_det
         return b
 
     @property
@@ -144,13 +147,23 @@ class Basis(Record):
 
     @cached_property
     def _echelon(self) -> tuple[list[int], int, list[list[int]]]:
-        """``_reduced_echelon(self)``, run once per basis object:
-        ``gram_det`` and ``hnf`` read it, so the load check's determinant and
-        a later ``same_lattice`` share one elimination.  It is kept in
-        ``__dict__`` beside the fields, so ``==``, ``hash`` and ``repr`` do
-        not see it; a DependentRowsError is raised on each read, not kept.
-        Readers must not change the rows it returns."""
+        """``_reduced_echelon(self)``, run once per basis object for
+        ``gram_det`` and ``hnf``, and kept in ``__dict__`` beside the fields,
+        where ``==``, ``hash`` and ``repr`` do not see it.  A DependentRowsError
+        is raised on each read, not kept.  Readers must not change its rows."""
         return _reduced_echelon(self)
+
+    @cached_property
+    def _gram_det(self) -> int:
+        """``gram_det(self)``, kept as ``_echelon`` is, or carried by ``_built``."""
+        try:
+            if self.n - self.m > 1:
+                return _integral_gso(self)[0][-1]
+            pivots, det, scaled = self._echelon
+            extra = [c for c in range(self.n) if c not in pivots]
+            return det * det + sum(row[c] * row[c] for row in scaled for c in extra)
+        except DependentRowsError:
+            return 0
 
     def max_abs_entry(self) -> int:
         return max(abs(x) for row in self.rows for x in row)
@@ -164,14 +177,13 @@ class BasisMetrics:
     """Reported lengths of a basis: shortest row, longest row, log10 of the
     product of row norms, and the lattice determinant sqrt(det(B.B^T)).
 
-    Holds the exact squared row norms, the basis and det(B.B^T) when known;
-    each value is computed from them on first read and kept, so a value
-    never read costs nothing.  ``==`` compares the four values.
+    Holds the exact squared row norms and the basis; each value is computed
+    from them on first read and kept, so a value never read costs nothing
+    (``det_lattice`` through ``gram_det``).  ``==`` compares the four values.
     """
 
-    def __init__(self, b: Basis, gram: int | None = None):
+    def __init__(self, b: Basis):
         self._basis = b
-        self._gram = gram
         self._normsqs = [b.row_normsq(i) for i in range(b.m)]
 
     @cached_property
@@ -190,7 +202,7 @@ class BasisMetrics:
 
     @cached_property
     def det_lattice(self) -> Decimal:
-        return _sqrt(gram_det(self._basis) if self._gram is None else self._gram)
+        return _sqrt(gram_det(self._basis))
 
     def _values(self) -> tuple[Decimal, Decimal, Decimal, Decimal]:
         return (self.shortest, self.longest, self.log10_weight, self.det_lattice)
@@ -327,11 +339,10 @@ def _pieces(given: object):
         yield repr(given) if isinstance(given, str) else str(given)
 
 
-def metrics(b: Basis, gram: int | None = None) -> BasisMetrics:
+def metrics(b: Basis) -> BasisMetrics:
     """Shortest/longest row norms, log10 of the norm product, lattice det,
-    each computed on first read.  ``gram`` is det(B.B^T) if the caller
-    knows it: trusted, not checked."""
-    return BasisMetrics(b, gram)
+    each computed on first read; the det through ``gram_det(b)``."""
+    return BasisMetrics(b)
 
 
 def reduction_key(b: Basis) -> tuple[int, int, int]:
@@ -378,6 +389,9 @@ def _integral_gso(b: Basis) -> tuple[list[int], list[list[int]]]:
 def gram_det(b: Basis) -> int:
     """det(B.B^T) exactly; 0 iff rows are dependent.
 
+    Computed once per basis object; ``lll_reduce``, ``apply`` and ``ldsf_run``'s
+    fused bases carry their input's, so a layer takes it of its input first.
+
     With at most one more column than rows (square and knapsack bases) it
     is the Cauchy-Binet sum of the squared maximal minors, read off the
     echelon of B itself: det(B_P)^2, plus for a non-pivot column c the
@@ -386,14 +400,7 @@ def gram_det(b: Basis) -> int:
     and the weights, where the integral GSO of B.B^T carries minors twice
     as long.  Wider bases take d[m] of the integral GSO.
     """
-    try:
-        if b.n - b.m > 1:
-            return _integral_gso(b)[0][-1]
-        pivots, det, scaled = b._echelon
-        extra = [c for c in range(b.n) if c not in pivots]
-        return det * det + sum(row[c] * row[c] for row in scaled for c in extra)
-    except DependentRowsError:
-        return 0
+    return b._gram_det
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

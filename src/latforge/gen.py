@@ -28,7 +28,9 @@ def uniform_basis(m: int, lo: int = -999, hi: int = 999, seed: int = 0) -> Basis
 
 def knapsack_basis(m: int, bits: int = 60, seed: int = 0) -> Basis:
     """Rank-m knapsack-style basis in dimension m+1: row i is e_i extended
-    by a random ``bits``-bit integer.  Always independent."""
+    by a random ``bits``-bit integer.  Always independent; ValueError for bits < 1."""
+    if bits < 1:
+        raise ValueError(f"bits must be >= 1, got {_quoted(bits)}")
     rng = derive_rng("knapsack", m, bits, seed)
     rows = []
     for i in range(m):

@@ -83,9 +83,9 @@ class HcTrace(Record):
     det_bound_met: bool
 
 
-def det_bound(b: Basis, gram: int | None = None) -> Decimal:
-    """The walk's default output target m * det(L)^(1/m); ``gram`` as in ``metrics``."""
-    det = _sqrt(gram_det(b) if gram is None else gram)
+def det_bound(b: Basis) -> Decimal:
+    """The walk's default output target m * det(L)^(1/m), det(L) from ``gram_det(b)``."""
+    det = _sqrt(gram_det(b))
     root = REAL.power(det, REAL.divide(Decimal(1), Decimal(b.m)))
     return REAL.multiply(Decimal(b.m), root)
 
@@ -130,23 +130,22 @@ def _sampler(m: int, cfg: HcConfig) -> Sampler:
     return sampler
 
 
-def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
+def hill_climb(b0: Basis, cfg: HcConfig) -> HcTrace:
     """Walk from lll(b0) over row permutations drawn as ``cfg.kind`` says.
 
     FixedRadius samples one sphere of S_m every step; VariableRadius starts
     at r0 and grows the radius by rstep per step, clamped at m (the draws are
     right permutations once the schedule passes m/2); Psl2 draws elements of
     PSL(2,p) acting on p+1 points, so the rank must be p+1.
-    Every basis of the walk spans the lattice of b0: ``gram`` as in ``metrics``.
+    Every basis of the walk spans the lattice of b0 and carries its
+    ``gram_det``, taken of b0 before the first reduction.
     """
     sampler = _sampler(b0.m, cfg)
+    bound = det_bound(b0)
     current = lll_reduce(b0, cfg.alpha)
     best = current
     best_key = reduction_key(current)
-    # One determinant for the walk, of its input when not given.
-    gram = gram_det(b0) if gram is None else gram
-    initial = best_metrics = metrics(current, gram)
-    bound = det_bound(b0, gram)
+    initial = best_metrics = metrics(current)
     target = bound if cfg.target_bound is None else cfg.target_bound
 
     steps: list[HcStep] = []
@@ -158,18 +157,12 @@ def hill_climb(b0: Basis, cfg: HcConfig, gram: int | None = None) -> HcTrace:
         keyed = [reduction_key(c) for c in candidates]
         j = min(range(len(candidates)), key=keyed.__getitem__)
         current = candidates[j]
-        after = metrics(current, gram)
+        after = metrics(current)
         improved = keyed[j] < best_key
         if improved:
             best, best_key, best_metrics = current, keyed[j], after
         steps.append(
-            HcStep(
-                index=i,
-                permutation=sample[j],
-                basis=current,
-                after=after,
-                improved=improved,
-            )
+            HcStep(index=i, permutation=sample[j], basis=current, after=after, improved=improved)
         )
         reached = best_metrics.shortest <= target
         i += 1

@@ -16,11 +16,10 @@ from .errors import ParseError, RankDeficientError
 
 
 class LatticeFile(Record):
-    """A parsed basis and det(B.B^T) from the independence check, so that
-    a run need not compute it again."""
+    """A parsed basis.  It keeps the ``gram_det`` of the independence
+    check, so a run need not compute it again."""
 
     basis: Basis
-    gram: int
 
 
 # One token: a signed integer of ASCII digits, or any other non-space
@@ -83,10 +82,9 @@ def parse_lattice(text: str | bytes) -> LatticeFile:
             f"{len(rows)} rows in dimension {len(rows[0])} cannot be independent"
         )
     basis = Basis(rows)
-    gram = gram_det(basis)
-    if not gram:
+    if not gram_det(basis):
         raise RankDeficientError("rows are linearly dependent")
-    return LatticeFile(basis=basis, gram=gram)
+    return LatticeFile(basis=basis)
 
 
 def format_lattice(b: Basis) -> str:

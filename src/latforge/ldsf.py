@@ -108,19 +108,19 @@ def fuse(blocks: list[Basis], p: Permutation) -> Basis:
     return apply(joined, p)
 
 
-def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
+def ldsf_run(b: Basis, cfg: LdsfConfig) -> LdsfTrace:
     """Diffuse / reduce / fuse for M inner iterations per outer pass.
 
     Each outer pass drops the block count k by one (floored at 1), so blocks
     grow to ceil(m / k) rows.  Stops after an outer pass whose best fused
     shortest vector meets ``target_bound``.  All randomness is derived from
     (seed, outer, inner), so traces replay identically.
-    Fused bases span the lattice of ``b``: ``gram`` as in ``metrics``.
+    Fused bases span the lattice of ``b`` and carry ``gram_det(b)``.
     The fusing permutation is a right one, so a rank below 3 raises
     DegreeTooSmallError before any reduction.
     """
     check_right_degree(b.m)
-    gram = gram_det(b) if gram is None else gram
+    gram_det(b)
     m = b.m
     k = cfg.servers
     current = b
@@ -133,7 +133,7 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
             blocks = diffuse(current, k, derive_rng(cfg.seed, "ldsf", outer, inner, "cut"))
             reduced = [lll_reduce(blk, cfg.alpha) for blk in blocks]
             pi = sample_right(m, derive_rng(cfg.seed, "ldsf", outer, inner, "mix"))
-            current = fuse(reduced, pi)
+            current = Basis._built(fuse(reduced, pi).rows, like=b)
             fused_min_sq = min(current.row_normsq(i) for i in range(m))
             if best_sq is None or fused_min_sq < best_sq:
                 best_sq, best_basis = fused_min_sq, current
@@ -142,7 +142,7 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
                     outer=outer,
                     inner=inner,
                     block_metrics=tuple(metrics(blk) for blk in reduced),
-                    fused_metrics=metrics(current, gram),
+                    fused_metrics=metrics(current),
                     fused_basis=current,
                     permutation=pi,
                 )
@@ -161,18 +161,18 @@ def ldsf_run(b: Basis, cfg: LdsfConfig, gram: int | None = None) -> LdsfTrace:
 
 
 def sigma_candidates(
-    n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random, gram: int | None = None
+    n_perms: int, b: Basis, cfg: LdsfConfig, rng: random.Random
 ) -> list[tuple[Permutation, LdsfTrace]]:
     """LDSF runs of ``cfg`` from n sampled right permutations of b, each with
     its permutation; a sigma stage keeps the run whose final basis has the
-    least ``reduction_key``.  ``gram`` as in ``ldsf_run``."""
+    least ``reduction_key``.  Every start carries ``gram_det(b)``."""
     if n_perms < 1:
         raise ValueError("n_perms must be >= 1")
-    gram = gram_det(b) if gram is None else gram
+    gram_det(b)
     out = []
     for i in range(n_perms):
         pi = sample_right(b.m, rng)
         run_cfg = cfg.replace(seed=derive_seed(cfg.seed, "sigma", i))
-        out.append((pi, ldsf_run(apply(b, pi), run_cfg, gram)))
+        out.append((pi, ldsf_run(apply(b, pi), run_cfg)))
     return out
 

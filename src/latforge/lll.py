@@ -137,7 +137,7 @@ def lll_reduce(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
                 if 2 * abs(x) > dl:
                     reduce_by(k, l, x, dl)
             k += 1
-    return Basis._built(tuple(map(tuple, rows)))
+    return Basis._built(tuple(map(tuple, rows)), like=b)
 
 
 def is_lll_reduced(b: Basis, params: LllParams = DEFAULT_PARAMS) -> bool:

@@ -140,4 +140,4 @@ def apply(b: Basis, p: Permutation) -> Basis:
         raise DegreeMismatchError(
             f"permutation degree {p.degree} != basis rank {b.m}"
         )
-    return Basis._built(tuple(b.rows[img - 1] for img in p.images))
+    return Basis._built(tuple(b.rows[img - 1] for img in p.images), like=b)

@@ -117,11 +117,11 @@ def _ldsf_cfg(stage: StageSpec, seed: int) -> LdsfConfig:
 
 
 def run_pipeline(
-    b0: Basis, stages: list[StageSpec], seed: int = 0, gram: int | None = None
+    b0: Basis, stages: list[StageSpec], seed: int = 0
 ) -> PipelineReport:
     """Thread the basis through the stage list, reporting per-stage llb
     (best shortest seen) and lub (best longest seen) plus wall time.
-    Every stage output spans the lattice of b0: ``gram`` as in ``metrics``."""
+    Every stage output spans the lattice of b0 and carries ``gram_det(b0)``."""
     if not stages:
         raise BadStageParamsError("stage list is empty")
     # Every stage keeps the rank, so all of them are checked before any runs:
@@ -133,9 +133,9 @@ def run_pipeline(
                 f"stage {index}: {stage.kind} with {_quoted(stage.blocks)} blocks "
                 f"needs rank >= {_quoted(need)}, got {b0.m}"
             )
-    gram = gram_det(b0) if gram is None else gram
+    gram_det(b0)
     current = b0
-    before = metrics(current, gram)
+    before = metrics(current)
     reports: list[StageReport] = []
     for index, stage in enumerate(stages, start=1):
         stage_started = time.perf_counter()
@@ -145,12 +145,12 @@ def run_pipeline(
         else:
             cfg = _ldsf_cfg(stage, derive_seed(seed, "stage", index))
             if stage.kind == KIND_LDSF:
-                traces = [ldsf_run(current, cfg, gram)]
+                traces = [ldsf_run(current, cfg)]
             else:
                 rng = derive_rng(seed, "stage", index, "perms")
-                traces = [t for _, t in sigma_candidates(stage.sample_n, current, cfg, rng, gram)]
+                traces = [t for _, t in sigma_candidates(stage.sample_n, current, cfg, rng)]
             current = min((t.final_basis for t in traces), key=reduction_key)
-        after = metrics(current, gram)
+        after = metrics(current)
         # The least fused shortest and longest rows over the stage's rounds,
         # or the output's own when the stage fused nothing.
         fused = [r.fused_metrics for t in traces for r in t.rounds] or [after]

@@ -33,8 +33,8 @@ with its own copy of the GSO row step.  It makes the same decisions as
 ``parse_lattice_reference`` is the character-by-character reader of the
 lattice format that ``parse_lattice`` replaced with one token regex: it
 walks the text one Python call per character, tracking line and column as
-it goes.  The two must agree on every text, in rows and ``gram`` or in the
-error raised and its position.
+it goes.  The two must agree on every text, in rows and determinant or in
+the error raised and its position.
 
 The S_m metric that the samplers of ``latforge.perm`` walk is written out
 here, reading only ``Permutation.images`` and importing nothing from that
@@ -70,7 +70,6 @@ from latforge import (
     LllParams,
     ParseError,
     RankDeficientError,
-    gram_det,
     metrics,
 )
 from latforge.lll import DEFAULT_PARAMS
@@ -261,12 +260,14 @@ def _gram_det_bareiss(b: Basis) -> int:
 
 
 def reference_metrics(b: Basis) -> BasisMetrics:
-    """``metrics`` of ``b`` with the reference determinant of ``b`` itself,
-    to compare against metrics computed with a carried determinant."""
-    return metrics(b, _gram_det_bareiss(b))
+    """``metrics`` of a fresh twin of ``b``, which carries no determinant,
+    after checking that the ``det_lattice`` of ``b`` itself (carried, when
+    ``b`` carries one) is the reference determinant of its rows."""
+    assert metrics(b).det_lattice == _sqrt(_gram_det_bareiss(b))
+    return metrics(Basis(b.rows))
 
 
-def eager_metrics(b: Basis, gram: int | None = None) -> tuple[Decimal, ...]:
+def eager_metrics(b: Basis) -> tuple[Decimal, ...]:
     """(shortest, longest, log10_weight, det_lattice) of ``b``, all computed
     at once as ``metrics`` did before its values became lazy: the reference
     for what each ``BasisMetrics`` value computes on first read."""
@@ -278,7 +279,7 @@ def eager_metrics(b: Basis, gram: int | None = None) -> tuple[Decimal, ...]:
         _sqrt(min(normsqs)),
         _sqrt(max(normsqs)),
         log10_weight,
-        _sqrt(_gram_det_bareiss(b) if gram is None else gram),
+        _sqrt(_gram_det_bareiss(b)),
     )
 
 
@@ -587,7 +588,6 @@ def parse_lattice_reference(text: str | bytes) -> LatticeFile:
             f"{len(rows)} rows in dimension {len(rows[0])} cannot be independent"
         )
     basis = Basis(rows)
-    gram = gram_det(basis)
-    if not gram:
+    if not _gram_det_bareiss(basis):
         raise RankDeficientError("rows are linearly dependent")
-    return LatticeFile(basis=basis, gram=gram)
+    return LatticeFile(basis=basis)

@@ -167,14 +167,14 @@ MUTANTS = (
     ),
     Mutant(
         "gram_det: knapsack bases take the GSO route", "core.py",
-        "        if b.n - b.m > 1:\n",
-        "        if b.n - b.m > 0:\n",
+        "            if self.n - self.m > 1:\n",
+        "            if self.n - self.m > 0:\n",
         ("tests/test_core.py::TestGramDet",),
     ),
     Mutant(
         "gram_det: two extra columns take the echelon route", "core.py",
-        "        if b.n - b.m > 1:\n",
-        "        if b.n - b.m > 2:\n",
+        "            if self.n - self.m > 1:\n",
+        "            if self.n - self.m > 2:\n",
         ("tests/test_core.py::TestGramDet",),
     ),
     Mutant(
@@ -193,9 +193,21 @@ MUTANTS = (
     ),
     Mutant(
         "metrics: carried determinant ignored", "core.py",
-        "        return _sqrt(gram_det(self._basis) if self._gram is None else self._gram)\n",
         "        return _sqrt(gram_det(self._basis))\n",
-        ("tests/test_core.py::TestMetrics",),
+        "        return _sqrt(gram_det(Basis(self._basis.rows)))\n",
+        ONE_DET,
+    ),
+    Mutant(
+        "gram_det computed on every call", "core.py",
+        "    return b._gram_det\n",
+        "    return Basis._gram_det.func(b)\n",
+        ("tests/test_core.py::TestCarriedDeterminant", *ONE_DET),
+    ),
+    Mutant(
+        "carry: _built computes the determinant of like", "core.py",
+        '        if like is not None and "_gram_det" in like.__dict__:\n',
+        "        if like is not None:\n",
+        ("tests/test_core.py::TestCarriedDeterminant::test_no_other_basis_holds_one",),
     ),
     Mutant(
         "hnf re-runs the echelon", "core.py",
@@ -205,11 +217,11 @@ MUTANTS = (
     ),
     Mutant(
         "gram_det re-runs the echelon", "core.py",
-        "        pivots, det, scaled = b._echelon\n",
-        "        pivots, det, scaled = _reduced_echelon(b)\n",
+        "            pivots, det, scaled = self._echelon\n",
+        "            pivots, det, scaled = _reduced_echelon(self)\n",
         (
             "tests/test_core.py::TestOneEchelonPerBasis",
-            "tests/test_cli.py::TestOneDeterminantPerRun::test_lll_report_eliminates_each_basis_once",
+            "tests/test_cli.py::TestOneDeterminantPerRun::test_lll_report_eliminates_once",
         ),
     ),
     Mutant(
@@ -323,8 +335,8 @@ MUTANTS = (
     # Bases the library builds from its own rows, and the outside boundary.
     Mutant(
         "built: lll_reduce hands lists to Basis._built", "lll.py",
-        "    return Basis._built(tuple(map(tuple, rows)))\n",
-        "    return Basis._built(rows)\n",
+        "    return Basis._built(tuple(map(tuple, rows)), like=b)\n",
+        "    return Basis._built(rows, like=b)\n",
         ("tests/test_core.py::TestLibraryBuiltBases",),
     ),
     Mutant(
@@ -561,6 +573,12 @@ MUTANTS = (
         ("tests/test_gen.py::TestUniform::test_dependent_draws_are_resampled",),
     ),
     Mutant(
+        "gen: knapsack bits below 1 reach the shift", "gen.py",
+        "    if bits < 1:\n",
+        "    if False:\n",
+        ("tests/test_gen.py::TestKnapsack::test_bits_below_one_are_rejected_before_any_draw",),
+    ),
+    Mutant(
         "gen: a range with no independent draw accepted", "gen.py",
         "    if lo == hi and (lo == 0 or m > 1):\n",
         "    if False:\n",
@@ -622,34 +640,81 @@ MUTANTS = (
         "    return gram_det(a) == gram_det(b)\n",
         ("tests/test_core.py::TestHnf::test_equal_determinants_of_different_lattices",),
     ),
-    # The determinant each search layer carries from the load check.
+    # The determinant each basis of a search carries from the layer's input.
     Mutant(
         "carried det: hill_climb recomputes it", "hillclimb.py",
-        "    # One determinant for the walk, of its input when not given.\n"
-        "    gram = gram_det(b0) if gram is None else gram\n",
-        "    gram = gram_det(b0)\n",
+        "        after = metrics(current)\n        improved",
+        "        after = metrics(Basis(current.rows))\n        improved",
         ONE_DET,
     ),
     Mutant(
         "determinant rule: hill_climb takes it of the reduced basis", "hillclimb.py",
-        "    gram = gram_det(b0) if gram is None else gram\n    initial",
-        "    gram = gram_det(current) if gram is None else gram\n    initial",
-        (
-            "tests/test_core.py::TestOneEchelonPerBasis"
-            "::test_hill_climb_given_no_gram_eliminates_its_input",
-        ),
+        "    bound = det_bound(b0)\n    current = lll_reduce(b0, cfg.alpha)\n",
+        "    current = lll_reduce(b0, cfg.alpha)\n    bound = det_bound(current)\n",
+        ("tests/test_core.py::TestOneEchelonPerBasis::test_hill_climb_eliminates_only_its_input",),
     ),
     Mutant(
         "carried det: ldsf_run recomputes it", "ldsf.py",
-        "    check_right_degree(b.m)\n    gram = gram_det(b) if gram is None else gram\n",
-        "    check_right_degree(b.m)\n    gram = gram_det(b)\n",
+        "                    fused_metrics=metrics(current),\n",
+        "                    fused_metrics=metrics(Basis(current.rows)),\n",
         ONE_DET,
     ),
     Mutant(
         "carried det: run_pipeline recomputes it", "pipeline.py",
-        "    gram = gram_det(b0) if gram is None else gram\n    current = b0\n",
-        "    gram = gram_det(b0)\n    current = b0\n",
+        "        after = metrics(current)\n        # The least",
+        "        after = metrics(Basis(current.rows))\n        # The least",
         ONE_DET,
+    ),
+    Mutant(
+        "carry: lll_reduce drops like=b", "lll.py",
+        "    return Basis._built(tuple(map(tuple, rows)), like=b)\n",
+        "    return Basis._built(tuple(map(tuple, rows)))\n",
+        ("tests/test_core.py::TestCarriedDeterminant", *ONE_DET),
+    ),
+    Mutant(
+        "carry: apply drops like=b", "perm.py",
+        "    return Basis._built(tuple(b.rows[img - 1] for img in p.images), like=b)\n",
+        "    return Basis._built(tuple(b.rows[img - 1] for img in p.images))\n",
+        ("tests/test_core.py::TestCarriedDeterminant",),
+    ),
+    Mutant(
+        "carry: diffuse blocks carry their parent's determinant", "ldsf.py",
+        "        blocks.append(Basis._built(tuple(b.rows[i] for i in order[at : at + size])))\n",
+        "        blocks.append(Basis._built(tuple(b.rows[i] for i in order[at : at + size]),"
+        " like=b))\n",
+        ("tests/test_core.py::TestCarriedDeterminant::test_no_other_basis_holds_one",),
+    ),
+    Mutant(
+        "carry: the fused basis is not carried", "ldsf.py",
+        "            current = Basis._built(fuse(reduced, pi).rows, like=b)\n",
+        "            current = fuse(reduced, pi)\n",
+        ("tests/test_core.py::TestCarriedDeterminant", *ONE_DET),
+    ),
+    Mutant(
+        "input det first: hill_climb reduces before it", "hillclimb.py",
+        "    bound = det_bound(b0)\n    current = lll_reduce(b0, cfg.alpha)\n",
+        "    current = lll_reduce(b0, cfg.alpha)\n    bound = det_bound(b0)\n",
+        # The CLI's input keeps its determinant from the load, so only a
+        # fresh basis tells this apart.
+        ("tests/test_core.py::TestOneEchelonPerBasis::test_hill_climb_eliminates_only_its_input",),
+    ),
+    Mutant(
+        "input det first: ldsf_run skips it", "ldsf.py",
+        "    check_right_degree(b.m)\n    gram_det(b)\n",
+        "    check_right_degree(b.m)\n",
+        ("tests/test_ldsf.py::TestLazyMetrics::test_input_determinant_is_computed_once",),
+    ),
+    Mutant(
+        "input det first: sigma_candidates skips it", "ldsf.py",
+        "    gram_det(b)\n    out = []\n",
+        "    out = []\n",
+        ("tests/test_ldsf.py::TestLazyMetrics::test_input_determinant_is_computed_once",),
+    ),
+    Mutant(
+        "input det first: run_pipeline skips it", "pipeline.py",
+        "    gram_det(b0)\n    current = b0\n",
+        "    current = b0\n",
+        ("tests/test_pipeline.py::TestRun::test_input_determinant_is_computed_once",),
     ),
 )
 

@@ -364,10 +364,13 @@ class TestReportMetrics:
 
 
 class TestOneDeterminantPerRun:
-    """hc, ldsf and hybrid take det(B.B^T) from the load check, so a run
-    calls ``gram_det`` once on its lattice, and ``lll`` eliminates each
-    basis once.  Calls are counted through every binding of the function in
-    every latforge module, as perfbench's tracer rebinds them."""
+    """The load check computes det(B.B^T) of the input and keeps it with the
+    basis, and every basis a run derives from it carries it, so hc, ldsf
+    and hybrid compute it once; the ldsf report also computes each reduced
+    block's own, once per block.  Computations are misses of the memo
+    behind ``gram_det``.  ``lll --report`` calls ``gram_det`` three times,
+    counted through every binding of the function in every latforge module,
+    as perfbench's tracer rebinds them, and eliminates once."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -378,24 +381,32 @@ class TestOneDeterminantPerRun:
         ],
         ids=["hc", "ldsf", "hybrid"],
     )
-    def test_one_gram_det_per_run(self, rank8, tmp_path, monkeypatch, argv):
+    def test_one_determinant_per_run(self, rank8, tmp_path, computed_gram_dets, argv):
         stages = tmp_path / "stages.json"
         stages.write_text(json.dumps([
             {"kind": "ldsf", "blocks": 2},
             {"kind": "sigma", "blocks": 3, "sample": 2},
             {"kind": "lll"},
         ]))
-        ranks = self.count_gram_det(monkeypatch)
         argv = [str(stages) if a == "STAGES" else a for a in argv]
-        assert cli_main([*argv, "--in", rank8, "--report", str(tmp_path / "r")]) == 0
-        # The ldsf report also gives each reduced block its own determinant.
-        assert ranks.count(8) == 1
-        assert len(ranks) == 1 or argv[0] == "ldsf"
+        given = load_lattice(rank8).basis.rows
+        computed = computed_gram_dets
+        computed.clear()  # what the load above computed
+        report = tmp_path / "r"
+        assert cli_main([*argv, "--in", rank8, "--report", str(report)]) == 0
+        rounds = json.loads(report.read_text()).get("rounds", ())
+        blocks = sum(len(r["blocks"]) for r in rounds)  # 3 + 3 + 2 + 2 for ldsf
+        assert blocks == (10 if argv[0] == "ldsf" else 0)
+        assert computed[0] == given
+        assert len(computed) == 1 + blocks
+        assert all(len(rows) < 8 for rows in computed[1:])
 
-    def test_lll_report_eliminates_each_basis_once(self, rank8, tmp_path, monkeypatch):
-        # The load check and the report's "before" both take det(B.B^T) of
-        # the input (perfbench's lll pin counts 3 calls), but a basis object
-        # keeps its echelon, so the input is eliminated once.
+    def test_lll_report_eliminates_once(self, rank8, tmp_path, monkeypatch):
+        # The load check and the report's "before" and "after" all read
+        # det(B.B^T) (perfbench's lll pin counts 3 calls), but a basis object
+        # keeps its echelon and the reduced basis carries the input's
+        # determinant, so only the input is eliminated, once.
+        given = load_lattice(rank8).basis.rows
         ranks = self.count_gram_det(monkeypatch)
         echelon, eliminated = core._reduced_echelon, Counter()
 
@@ -406,8 +417,7 @@ class TestOneDeterminantPerRun:
         monkeypatch.setattr(core, "_reduced_echelon", counted)
         assert cli_main(["lll", "--in", rank8, "--report", str(tmp_path / "r")]) == 0
         assert len(ranks) == 3
-        assert sorted(eliminated.values()) == [1, 1]
-        assert load_lattice(rank8).basis.rows in eliminated
+        assert eliminated == {given: 1}
 
     @staticmethod
     def count_gram_det(monkeypatch) -> list[int]:

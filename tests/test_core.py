@@ -33,6 +33,7 @@ from latforge import (
     hill_climb,
     hnf,
     knapsack_basis,
+    ldsf_run,
     lll_reduce,
     metrics,
     same_lattice,
@@ -311,10 +312,6 @@ class TestMetrics:
         assert m.shortest == Decimal(10) ** 900
         assert abs(m.log10_weight - 1800) < Decimal("1e-30")
 
-    def test_known_determinant_is_trusted(self):
-        # A passed det(B.B^T) is used as given, not recomputed or checked.
-        assert metrics(Basis.identity(2), gram=36).det_lattice == 6
-
     def test_det_invariant_under_unimodular_transform(self):
         b = uniform_basis(5, -99, 99, seed=8)
         rows = [list(r) for r in b.rows]
@@ -331,12 +328,8 @@ METRIC_CORPUS = [
 
 
 class TestLazyMetrics:
-    @pytest.mark.parametrize(
-        "carried, warm",
-        [(False, False), (True, False), (False, True)],
-        ids=["computed", "carried", "warm-cache"],
-    )
-    def test_values_match_eager_reference(self, carried, warm):
+    @pytest.mark.parametrize("warm", [False, True], ids=["computed", "warm-cache"])
+    def test_values_match_eager_reference(self, warm):
         # Cold: no logarithm is memoised yet.  Warm: every one is, so each
         # log10_weight below is read from the memo.
         core._log10.cache_clear()
@@ -345,12 +338,11 @@ class TestLazyMetrics:
                 metrics(b).log10_weight
         misses = core._log10.cache_info().misses
         for b in METRIC_CORPUS:
-            gram = _gram_det_bareiss(b) if carried else None
-            expected = eager_metrics(b, gram)
+            expected = eager_metrics(b)
             # Each value read first on a fresh object of its own, then all
             # four on one object, last first.
-            assert [getattr(metrics(b, gram), name) for name in REPORTED] == list(expected)
-            m = metrics(b, gram)
+            assert [getattr(metrics(b), name) for name in REPORTED] == list(expected)
+            m = metrics(b)
             assert tuple(getattr(m, name) for name in reversed(REPORTED)) == expected[::-1]
         assert (core._log10.cache_info().misses == misses) == warm
 
@@ -368,16 +360,14 @@ class TestLazyMetrics:
 
     def test_equality_compares_reported_values(self):
         b = uniform_basis(5, -99, 99, seed=3)
-        gram = gram_det(b)
-        assert metrics(b) == metrics(b, gram)
-        assert metrics(b, gram) == metrics(b)
-        assert hash(metrics(b)) == hash(metrics(b, gram))
+        twin = Basis(b.rows)
+        assert metrics(b) == metrics(twin) and metrics(twin) == metrics(b)
+        assert hash(metrics(b)) == hash(metrics(twin))
         rows = [list(r) for r in b.rows]
         rows[2] = [x - 7 * y for x, y in zip(rows[2], rows[0])]
         other = Basis(rows)  # same lattice and determinant, other norms
-        assert metrics(other, gram) != metrics(b)
-        assert metrics(other) != metrics(b, gram)
-        assert metrics(b, 4 * gram) != metrics(b)
+        assert metrics(other) != metrics(b)
+        assert metrics(b) != metrics(other)
 
     def test_another_type_is_not_equal(self):
         m = metrics(Basis.identity(2))
@@ -431,19 +421,19 @@ class TestCallerContext:
         assert shown == "1.23456789013"
 
 
-class TestLibraryBuiltBases:
-    """``lll_reduce``, ``apply``, ``diffuse`` and ``fuse`` bind their rows
-    through ``Basis._built``, which neither copies nor checks them."""
+SMALL_BASES = st.one_of(
+    st.builds(uniform_basis, st.integers(3, 8), st.just(-99), st.just(99),
+              seed=st.integers(0, 10**6)),
+    st.builds(knapsack_basis, st.integers(3, 8), st.integers(2, 80),
+              seed=st.integers(0, 10**6)),
+)
 
-    @given(
-        b=st.one_of(
-            st.builds(uniform_basis, st.integers(3, 8), st.just(-99), st.just(99),
-                      seed=st.integers(0, 10**6)),
-            st.builds(knapsack_basis, st.integers(3, 8), st.integers(2, 80),
-                      seed=st.integers(0, 10**6)),
-        ),
-        data=st.data(),
-    )
+
+class TestLibraryBuiltBases:
+    """``lll_reduce``, ``apply``, ``diffuse``, ``fuse`` and ``ldsf_run`` bind
+    their rows through ``Basis._built``, which neither copies nor checks them."""
+
+    @given(b=SMALL_BASES, data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_outputs_equal_their_public_twins(self, b, data):
         perm = data.draw(st.permutations(range(1, b.m + 1)).map(Permutation))
@@ -461,14 +451,64 @@ class TestLibraryBuiltBases:
             fuse([Basis.identity(2), Basis.identity(2)], Permutation.identity(4))
 
     def test_only_the_search_layers_call_it(self):
-        # A new caller vouches that its rows are ints of the right shape.
+        # A new caller vouches that its rows are ints of the right shape, and
+        # a new ``like=`` caller that they span the lattice of ``like``.
         callers = sorted(
-            path.name
+            (path.name, fn.name, [k.arg for k in node.keywords])
             for path in SRC.glob("*.py")
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.Attribute) and node.attr == "_built"
+            for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_built"
         )
-        assert callers == ["ldsf.py", "ldsf.py", "lll.py", "perm.py"]
+        assert callers == [
+            ("ldsf.py", "diffuse", []),
+            ("ldsf.py", "fuse", []),
+            ("ldsf.py", "ldsf_run", ["like"]),
+            ("lll.py", "lll_reduce", ["like"]),
+            ("perm.py", "apply", ["like"]),
+        ]
+
+
+def _carried(b: Basis) -> bool:
+    return "_gram_det" in vars(b)
+
+
+class TestCarriedDeterminant:
+    """Only ``lll_reduce``, ``apply`` and the fused basis of an ``ldsf_run``
+    round carry a determinant, from an input that holds one, and it is that
+    of their own rows.  No other basis holds one it did not compute."""
+
+    @given(b=SMALL_BASES, data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_each_carry_site_holds_its_own_determinant(self, b, data):
+        perm = data.draw(st.permutations(range(1, b.m + 1)).map(Permutation))
+        k = data.draw(st.integers(1, b.m // 2))
+        b = Basis(b.rows)
+        gram_det(b)
+        trace = ldsf_run(b, LdsfConfig(servers=k, inner_iters=2, seed=data.draw(st.integers(0, 9))))
+        outs = [lll_reduce(b), apply(b, perm), *(r.fused_basis for r in trace.rounds)]
+        for out in outs:
+            assert _carried(out)
+            assert gram_det(out) == _gram_det_bareiss(out)
+
+    @given(b=SMALL_BASES, data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_no_other_basis_holds_one(self, b, data):
+        perm = data.draw(st.permutations(range(1, b.m + 1)).map(Permutation))
+        k = data.draw(st.integers(1, b.m // 2))
+        fresh = Basis(b.rows)
+        assert not _carried(fresh)
+        # Without a determinant to carry, the carry sites hold none either.
+        assert not any(_carried(out) for out in (lll_reduce(fresh), apply(fresh, perm)))
+        gram_det(fresh)
+        blocks = diffuse(fresh, k, derive_rng("carried", b.rows))
+        outs = [
+            Basis(fresh.rows), *blocks, fuse(blocks, perm), fresh.replace(),
+            fresh.replace(rows=fresh.rows), copy.copy(fresh), copy.deepcopy(fresh),
+            pickle.loads(pickle.dumps(fresh)),
+        ]
+        assert not any(_carried(out) for out in outs)
 
 
 class TestGramDet:
@@ -580,8 +620,8 @@ class TestReducedEchelon:
 class TestOneEchelonPerBasis:
     """``gram_det`` and ``hnf`` of one basis object share one elimination,
     kept beside its field, so certify's load check, reduction and
-    ``same_lattice`` eliminate each distinct basis once, and a walk given no
-    determinant eliminates its input only."""
+    ``same_lattice`` eliminate each distinct basis once, and a walk
+    eliminates its input only."""
 
     @pytest.fixture
     def eliminated(self, monkeypatch) -> Counter:
@@ -613,16 +653,18 @@ class TestOneEchelonPerBasis:
         [uniform_basis(8, seed=0), knapsack_basis(12, 60, seed=0)],
         ids=["uniform8", "knapsack12"],
     )
-    def test_hill_climb_given_no_gram_eliminates_its_input(self, b, eliminated):
+    def test_hill_climb_eliminates_only_its_input(self, b, eliminated):
         # The walk's one determinant is that of its input, as in ldsf_run and
-        # run_pipeline: the reduced basis, a new object, is never eliminated.
-        # A fresh object, as uniform_basis eliminated the one it returned.
+        # run_pipeline: the reduced basis, which carries it, is never
+        # eliminated.  A fresh object, as uniform_basis eliminated the one it
+        # returned.
         b = Basis(b.rows)
         cfg = HcConfig(FixedRadius(2), sample_size=2, max_steps=2, alpha=LllParams("3/4"))
         trace = hill_climb(b, cfg)
         assert lll_reduce(b).rows != b.rows
+        read = [trace.initial_metrics, *(step.after for step in trace.steps)]
+        assert {m.det_lattice for m in read} == {metrics(b).det_lattice}
         assert eliminated == {b.rows: 1}
-        assert trace.initial_metrics.det_lattice == metrics(b).det_lattice
 
     def test_memo_is_not_part_of_the_value(self, eliminated):
         b = uniform_basis(5, -9, 9, seed=2)

@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-from latforge import knapsack_basis, uniform_basis
+from latforge import gen, knapsack_basis, uniform_basis
 
 from helpers import _gram_det_bareiss
 
@@ -44,10 +44,22 @@ class TestUniform:
 
 
 class TestKnapsack:
-    @pytest.mark.parametrize("m,bits", [(4, 2), (6, 60), (3, 1000)])
+    @pytest.mark.parametrize("m,bits", [(5, 1), (4, 2), (6, 60), (3, 1000)])
     def test_identity_block_and_weights_of_exact_bit_length(self, m, bits):
         b = knapsack_basis(m, bits=bits, seed=2)
         assert (b.m, b.n) == (m, m + 1)
         for i, row in enumerate(b.rows):
             assert row[:m] == tuple(int(i == j) for j in range(m))
             assert row[m].bit_length() == bits
+
+    @pytest.mark.parametrize(
+        "bits, shown",
+        [(0, "0"), (-3, "-3"), (-(10**4400), "-1" + "0" * 35 + "...")],
+        ids=["0", "-3", "4401-digits"],
+    )
+    def test_bits_below_one_are_rejected_before_any_draw(self, monkeypatch, bits, shown):
+        # 1 << (bits - 1) has no value for bits < 1.
+        monkeypatch.setattr(gen, "derive_rng", lambda *parts: pytest.fail("rng built"))
+        with pytest.raises(ValueError) as exc:
+            knapsack_basis(5, bits)
+        assert str(exc.value) == f"bits must be >= 1, got {shown}"

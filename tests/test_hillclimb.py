@@ -13,6 +13,7 @@ from latforge import (
     Psl2,
     VariableRadius,
     det_bound,
+    gram_det,
     hill_climb,
     hnf,
     knapsack_basis,
@@ -134,7 +135,8 @@ class TestFixed:
         for step in trace.steps:
             assert step.after == reference_metrics(step.basis)
         assert trace.best_metrics == reference_metrics(trace.best_basis)
-        assert trace.det_bound == det_bound(b, _gram_det_bareiss(b))
+        assert trace.det_bound == det_bound(Basis(b.rows))
+        assert gram_det(b) == _gram_det_bareiss(b)
 
     def test_target_stops_early(self):
         b = uniform_basis(8, -99, 99, seed=7)

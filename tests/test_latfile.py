@@ -7,12 +7,13 @@ from latforge import (
     ParseError,
     RankDeficientError,
     format_lattice,
+    gram_det,
     parse_lattice,
     uniform_basis,
 )
 from latforge.latfile import load_lattice, save_lattice
 
-from helpers import parse_lattice_reference
+from helpers import _gram_det_bareiss, parse_lattice_reference
 
 
 class TestParse:
@@ -160,22 +161,23 @@ _SOUP = st.builds(
 )
 
 
-def _outcome(read, text):
+def _outcome(read, det, text):
     try:
         lat = read(text)
     except (ParseError, RankDeficientError) as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
-    return lat.basis.rows, lat.gram
+    return lat.basis.rows, det(lat.basis)
 
 
 class TestMatchesReference:
     """``parse_lattice`` (one token regex) against the character scanner it
-    replaced: equal rows and ``gram``, or the same error at the same place."""
+    replaced: equal rows, the kept ``gram_det`` equal to the reference
+    determinant, or the same error at the same place."""
 
     @settings(max_examples=500, deadline=None, derandomize=True, database=None)
     @given(text=st.one_of(_lattice_like(), _SOUP), as_bytes=st.booleans())
     def test_same_outcome(self, text, as_bytes):
         given_text = text.encode("utf-8") if as_bytes else text
-        assert _outcome(parse_lattice, given_text) == _outcome(
-            parse_lattice_reference, given_text
+        assert _outcome(parse_lattice, gram_det, given_text) == _outcome(
+            parse_lattice_reference, _gram_det_bareiss, given_text
         )

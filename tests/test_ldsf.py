@@ -23,12 +23,11 @@ from latforge import (
     run_pipeline,
     uniform_basis,
 )
-from latforge import core
 from latforge import ldsf as ldsf_mod
 from latforge.ldsf import block_sizes, sigma_candidates
 from latforge.parallel import derive_rng, derive_seed
 
-from helpers import counting, reference_metrics
+from helpers import reference_metrics
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -254,23 +253,37 @@ class TestCarriedDeterminant:
 
 
 class TestLazyMetrics:
-    def test_block_determinant_waits_for_a_read(self, monkeypatch):
+    def test_block_determinant_is_computed_when_read(self, computed_gram_dets):
         b = knapsack_basis(9, bits=40, seed=16)
-        gram = gram_det(b)
-        calls = Counter()
-        counted = counting(calls, "gram_det", gram_det)
-        monkeypatch.setattr(core, "gram_det", counted)
-        monkeypatch.setattr(ldsf_mod, "gram_det", counted)
-        trace = ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=4), gram)
+        gram_det(b)
+        computed = computed_gram_dets
+        computed.clear()  # b's own, computed above
+        trace = ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=4))
         rounds = trace.rounds
         assert sum(len(r.block_metrics) for r in rounds) > 1
         for r in rounds:
             r.fused_metrics.det_lattice  # carried: computes nothing
             for bm in r.block_metrics:
                 bm.shortest, bm.longest, bm.log10_weight
-        assert calls == {}
+        assert computed == []
         block = rounds[-1].block_metrics[0]
         det = block.det_lattice
-        assert calls == {"gram_det": 1}
+        assert len(computed) == 1 and len(computed[0]) < b.m
         assert block.det_lattice == det
-        assert calls == {"gram_det": 1}
+        assert len(computed) == 1
+
+    @pytest.mark.parametrize("layer", ["ldsf_run", "sigma_candidates"])
+    def test_input_determinant_is_computed_once(self, computed_gram_dets, layer):
+        # Each layer takes det(B.B^T) of its input before it derives a
+        # basis, so every start and fused basis carries it.
+        b = knapsack_basis(9, bits=40, seed=16)
+        computed = computed_gram_dets
+        if layer == "ldsf_run":
+            traces = [ldsf_run(b, cfg(servers=3, inner=2, outer=2, seed=4))]
+        else:
+            runs = sigma_candidates(3, b, cfg(servers=3, seed=4), derive_rng("once"))
+            traces = [t for _, t in runs]
+        for t in traces:
+            for r in t.rounds:
+                r.fused_metrics.det_lattice
+        assert computed == [b.rows]

@@ -128,6 +128,19 @@ class TestRun:
         assert r1.final_basis == r2.final_basis
         assert [s.llb for s in r1.stage_reports] == [s.llb for s in r2.stage_reports]
 
+    def test_input_determinant_is_computed_once(self, computed_gram_dets):
+        # det(B.B^T) of b0 is taken before the first stage, so even an lll
+        # stage first hands on a basis that carries it.
+        b = knapsack_basis(8, bits=40, seed=8)
+        stages = [
+            StageSpec(kind=KIND_LLL, alpha=A34),
+            StageSpec(kind=KIND_SIGMA, alpha=A34, blocks=2, sample_n=2),
+        ]
+        report = run_pipeline(b, stages, seed=3)
+        for stage in report.stage_reports:
+            stage.before.det_lattice, stage.after.det_lattice
+        assert computed_gram_dets == [b.rows]
+
     def test_carried_determinant_matches_reference(self):
         # Stage seeds depend only on the stage index, so a run of the first
         # i stages ends on the basis that stage i handed on.
