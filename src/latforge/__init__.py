@@ -25,7 +25,7 @@ _MODULE_OF = {
         "ldsf": "LdsfConfig LdsfRound LdsfTrace diffuse fuse ldsf_run",
         "pipeline": "StageSpec StageReport PipelineReport default_four_stage run_pipeline",
         "latfile": "LatticeFile parse_lattice format_lattice load_lattice",
-        "bench": "SweepRow SweepResult radius_sweep improvement_frequency",
+        "bench": "SweepRow radius_sweep improvement_frequency",
         "gen": "uniform_basis knapsack_basis",
         "errors": "LatticeError DependentRowsError BoxTooLargeError DegreeMismatchError "
         "DegreeTooSmallError InfeasibleRadiusError NotPrimeError BadBlockingError "

@@ -12,9 +12,6 @@ from .parallel import derive_rng
 from .perm import apply, check_radius, sample_at_radius
 
 
-_REALS = ("min", "max", "mean", "std", "range")
-
-
 class SweepRow(Record):
     radius: int
     min: Decimal
@@ -25,16 +22,8 @@ class SweepRow(Record):
 
     def rendered(self) -> dict:
         """Column -> value, as both the CSV and the JSON report show the row."""
-        return {"radius": self.radius, **{c: format_real(getattr(self, c)) for c in _REALS}}
-
-
-class SweepResult(Record):
-    rows: tuple[SweepRow, ...]
-
-    def to_csv(self) -> str:
-        lines = [",".join(("radius", *_REALS))]
-        lines += (",".join(map(str, row.rendered().values())) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        reals = {c: format_real(getattr(self, c)) for c in self._fields[1:]}
+        return {"radius": self.radius, **reals}
 
 
 def summarize(radius: int, values: Sequence[Decimal]) -> SweepRow:
@@ -50,38 +39,34 @@ def summarize(radius: int, values: Sequence[Decimal]) -> SweepRow:
         var = REAL.divide(
             sum((REAL.multiply(v - mean, v - mean) for v in values), Decimal(0)), n
         )
-        return SweepRow(
-            radius=radius,
-            min=lo,
-            max=hi,
-            mean=mean,
-            std=REAL.sqrt(var),
-            range=hi - lo,
-        )
+        return SweepRow(radius, lo, hi, mean, REAL.sqrt(var), hi - lo)
 
 
-def _sampled_shortest_sq(
-    b: Basis, radii: Iterable[int], n_samples: int, alpha: LllParams, seed: int
-) -> list[tuple[int, list[int]]]:
-    """(radius, the least squared row norm of each reduced permuted copy of
-    ``b``) per radius, in order.  Before any reduction, every radius must be
-    feasible for ``b``, and then none may be given twice."""
+def _checked_radii(m: int, radii: Iterable[int], n_samples: int) -> list[int]:
+    """``radii`` as a list, once each is feasible at rank ``m`` and none is
+    repeated, and ``n_samples`` is at least 1; checked before any reduction."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     radii = list(radii)
     for r in radii:
-        check_radius(b.m, r)
+        check_radius(m, r)
     for at, r in enumerate(radii):
         if r in radii[:at]:
             raise ValueError(f"radius {_quoted(r)} is repeated")
-    out = []
-    for r in radii:
-        copies = (
-            lll_reduce(apply(b, sample_at_radius(b.m, r, derive_rng(seed, "sweep", r, i))), alpha)
-            for i in range(n_samples)
-        )
-        out.append((r, [min(c.row_normsq(j) for j in range(c.m)) for c in copies]))
-    return out
+    return radii
+
+
+def _sampled_shortest_sq(
+    b: Basis, radii: list[int], n_samples: int, alpha: LllParams, seed: int
+) -> list[tuple[int, list[int]]]:
+    """(radius, the least squared row norm of each reduced permuted copy of
+    ``b``) per radius, in order."""
+
+    def shortest_sq(r: int, i: int) -> int:
+        c = lll_reduce(apply(b, sample_at_radius(b.m, r, derive_rng(seed, "sweep", r, i))), alpha)
+        return min(c.row_normsq(j) for j in range(c.m))
+
+    return [(r, [shortest_sq(r, i) for i in range(n_samples)]) for r in radii]
 
 
 def radius_sweep(
@@ -90,11 +75,12 @@ def radius_sweep(
     n_samples: int,
     alpha: LllParams,
     seed: int = 0,
-) -> SweepResult:
+) -> tuple[SweepRow, ...]:
     """For each radius, reduce ``n_samples`` permuted copies of ``b`` and
-    collect the distribution of the resulting shortest-vector lengths."""
+    summarize the resulting shortest-vector lengths in one row."""
+    radii = _checked_radii(b.m, radii, n_samples)
     samples = _sampled_shortest_sq(b, radii, n_samples, alpha, seed)
-    return SweepResult(rows=tuple(summarize(r, [_sqrt(sq) for sq in sqs]) for r, sqs in samples))
+    return tuple(summarize(r, [_sqrt(sq) for sq in sqs]) for r, sqs in samples)
 
 
 def improvement_frequency(
@@ -104,12 +90,15 @@ def improvement_frequency(
     alpha: LllParams,
     seed: int = 0,
 ) -> dict[int, float]:
-    """Fraction of permutations at each radius whose re-reduction yields a
-    strictly shorter shortest vector than ``b_star`` already has.
+    """Fraction of permuted copies at each radius whose re-reduction yields
+    a strictly shorter shortest vector than the reduced ``b_star`` has.
 
-    ``b_star`` is expected to be reduced already; the comparison is exact
+    ``b_star`` is reduced once at ``alpha`` (after the radius checks), and
+    the copies are drawn from that reduced basis; the comparison is exact
     on squared norms.
     """
-    base_sq = min(b_star.row_normsq(j) for j in range(b_star.m))
-    samples = _sampled_shortest_sq(b_star, radii, n_samples, alpha, seed)
+    radii = _checked_radii(b_star.m, radii, n_samples)
+    reduced = lll_reduce(b_star, alpha)
+    base_sq = min(reduced.row_normsq(j) for j in range(reduced.m))
+    samples = _sampled_shortest_sq(reduced, radii, n_samples, alpha, seed)
     return {r: sum(sq < base_sq for sq in sqs) / n_samples for r, sqs in samples}

@@ -18,10 +18,10 @@ from decimal import Decimal
 from typing import Callable, Sequence
 
 from . import serialize
-from .core import DEFAULT_ENUM_BUDGET, _quoted, int_str, metrics, svp_oracle
+from .core import DEFAULT_ENUM_BUDGET, Basis, _quoted, int_str, metrics, svp_oracle
 from .errors import BoxTooLargeError, DependentRowsError, LatticeError
 from .hillclimb import FixedRadius, HcConfig, Psl2, VariableRadius, hill_climb
-from .latfile import LatticeFile, load_lattice
+from .latfile import load_lattice
 from .ldsf import LdsfConfig, ldsf_run
 from .lll import LllParams, lll_reduce
 from .pipeline import load_stages, run_pipeline
@@ -131,21 +131,27 @@ def _write(path: str | None, content: str) -> None:
         sys.stdout.write(content)
 
 
-def _cmd_lll(args, lattice: LatticeFile) -> Callable[[], dict]:
-    reduced = lll_reduce(lattice.basis, args.alpha)
+def _write_table(path: str | None, rows: list[dict]) -> None:
+    """Write ``rows`` as CSV, headed by the first row's keys."""
+    lines = [",".join(rows[0]), *(",".join(map(str, row.values())) for row in rows)]
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _cmd_lll(args, b: Basis) -> Callable[[], dict]:
+    reduced = lll_reduce(b, args.alpha)
     after = metrics(reduced)
     print(
         f"lll: shortest={after.shortest:.6g} longest={after.longest:.6g} "
         f"log10_weight={after.log10_weight:.6g}"
     )
     return lambda: {
-        "before": serialize.metrics_dict(metrics(lattice.basis)),
+        "before": serialize.metrics_dict(metrics(b)),
         "after": serialize.metrics_dict(after),
         "basis": serialize.basis_entries(reduced),
     }
 
 
-def _cmd_hc(args, lattice: LatticeFile) -> Callable[[], dict]:
+def _cmd_hc(args, b: Basis) -> Callable[[], dict]:
     chosen = [x for x in (args.radius, args.r0, args.psl2) if x is not None]
     if len(chosen) != 1:
         raise ValueError("pass exactly one of --radius, --r0, --psl2")
@@ -165,7 +171,7 @@ def _cmd_hc(args, lattice: LatticeFile) -> Callable[[], dict]:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = hill_climb(lattice.basis, cfg)
+    trace = hill_climb(b, cfg)
     print(
         f"hc: best shortest={trace.best_metrics.shortest:.6g} "
         f"steps={len(trace.steps)} reached_target={trace.reached_target}"
@@ -173,7 +179,7 @@ def _cmd_hc(args, lattice: LatticeFile) -> Callable[[], dict]:
     return lambda: serialize.hc_trace_dict(trace)
 
 
-def _cmd_ldsf(args, lattice: LatticeFile) -> Callable[[], dict]:
+def _cmd_ldsf(args, b: Basis) -> Callable[[], dict]:
     cfg = LdsfConfig(
         servers=args.blocks,
         inner_iters=args.inner,
@@ -182,7 +188,7 @@ def _cmd_ldsf(args, lattice: LatticeFile) -> Callable[[], dict]:
         target_bound=args.target,
         seed=args.seed,
     )
-    trace = ldsf_run(lattice.basis, cfg)
+    trace = ldsf_run(b, cfg)
     print(
         f"ldsf: best shortest={trace.best_vector_norm:.6g} "
         f"rounds={len(trace.rounds)} reached_target={trace.reached_target}"
@@ -190,9 +196,9 @@ def _cmd_ldsf(args, lattice: LatticeFile) -> Callable[[], dict]:
     return lambda: serialize.ldsf_trace_dict(trace)
 
 
-def _cmd_hybrid(args, lattice: LatticeFile) -> Callable[[], dict]:
+def _cmd_hybrid(args, b: Basis) -> Callable[[], dict]:
     stages = load_stages(args.stages, args.alpha)
-    report = run_pipeline(lattice.basis, stages, seed=args.seed)
+    report = run_pipeline(b, stages, seed=args.seed)
     last = report.stage_reports[-1]
     print(
         f"hybrid: stages={len(report.stage_reports)} "
@@ -201,30 +207,25 @@ def _cmd_hybrid(args, lattice: LatticeFile) -> Callable[[], dict]:
     return lambda: serialize.pipeline_report_dict(report)
 
 
-def _cmd_sweep(args, lattice: LatticeFile) -> Callable[[], dict]:
+def _cmd_sweep(args, b: Basis) -> Callable[[], dict]:
     from .bench import radius_sweep
 
-    result = radius_sweep(
-        lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
-    )
-    _write(args.out_csv, result.to_csv())
-    return lambda: serialize.sweep_dict(result)
+    rows = radius_sweep(b, args.radii, args.samples, args.alpha, seed=args.seed)
+    rendered = [row.rendered() for row in rows]
+    _write_table(args.out_csv, rendered)
+    return lambda: {"rows": rendered}
 
 
-def _cmd_freq(args, lattice: LatticeFile) -> Callable[[], dict]:
+def _cmd_freq(args, b: Basis) -> Callable[[], dict]:
     from .bench import improvement_frequency
 
-    freqs = improvement_frequency(
-        lattice.basis, args.radii, args.samples, args.alpha, seed=args.seed
-    )
-    lines = ["radius,frequency"]
-    lines.extend(f"{r},{freqs[r]:g}" for r in args.radii)
-    _write(args.out_csv, "\n".join(lines) + "\n")
-    return lambda: {"frequencies": {str(r): freqs[r] for r in args.radii}}
+    freqs = improvement_frequency(b, args.radii, args.samples, args.alpha, seed=args.seed)
+    _write_table(args.out_csv, [{"radius": r, "frequency": f"{f:g}"} for r, f in freqs.items()])
+    return lambda: {"frequencies": {str(r): f for r, f in freqs.items()}}
 
 
-def _cmd_oracle(args, lattice: LatticeFile) -> Callable[[], dict]:
-    result = svp_oracle(lattice.basis, args.bound, budget=args.budget)
+def _cmd_oracle(args, b: Basis) -> Callable[[], dict]:
+    result = svp_oracle(b, args.bound, budget=args.budget)
     print(
         f"oracle: lambda1={result.lambda1:.6g} "
         f"checked={result.count_checked} vector=[{', '.join(map(int_str, result.vector))}]"
@@ -255,7 +256,7 @@ def cli_main(argv: Sequence[str]) -> int:
         if "alpha" in args:
             args.alpha = LllParams(args.alpha)
             echo.update(alpha=str(args.alpha.alpha), seed=args.seed)
-        build_report = _COMMANDS[args.command](args, load_lattice(args.infile))
+        build_report = _COMMANDS[args.command](args, load_lattice(args.infile).basis)
         if args.report:
             _write(args.report, serialize.to_json({**build_report(), **echo}))
         return 0

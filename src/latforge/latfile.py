@@ -16,8 +16,8 @@ from .errors import ParseError, RankDeficientError
 
 
 class LatticeFile(Record):
-    """A parsed basis.  It keeps the ``gram_det`` of the independence
-    check, so a run need not compute it again."""
+    """A parsed basis.  The basis keeps det(B·Bᵀ) of the independence check
+    in its ``_gram_det`` memo, so a run need not compute it again."""
 
     basis: Basis
 

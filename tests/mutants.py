@@ -553,6 +553,24 @@ MUTANTS = (
             "tests/test_cli.py::TestSweepAndFreq::test_repeated_radius_is_usage_error",
         ),
     ),
+    Mutant(
+        "freq: input compared as given", "bench.py",
+        "    reduced = lll_reduce(b_star, alpha)\n",
+        "    reduced = b_star\n",
+        (
+            "tests/test_bench.py::TestImprovementFrequency::test_input_is_reduced_first",
+            "tests/test_same_bytes.py::test_freq_reads_an_input_as_its_reduction",
+        ),
+    ),
+    Mutant(
+        "table: header row dropped", "cli.py",
+        'lines = [",".join(rows[0]), *(',
+        "lines = [*(",
+        (
+            "tests/test_bench.py::TestSweep::test_csv_shape",
+            "tests/test_cli.py::TestSweepAndFreq::test_freq_csv",
+        ),
+    ),
     # The CLI's exit mapping, the report views and the generators.
     Mutant(
         "cli: a computation failure exits 1", "cli.py",

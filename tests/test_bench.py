@@ -7,6 +7,7 @@ from latforge import (
     Basis,
     LllParams,
     improvement_frequency,
+    is_lll_reduced,
     knapsack_basis,
     lll_reduce,
     metrics,
@@ -15,10 +16,21 @@ from latforge import (
 )
 from latforge import bench
 from latforge.bench import summarize
+from latforge.cli import cli_main
+from latforge.latfile import save_lattice
 
 from helpers import _sqrt, sampled_shortest_sq
 
 A34 = LllParams(Fraction(3, 4))
+
+
+def sweep_csv(tmp_path, b: Basis, radii: str, samples: str, seed: str) -> str:
+    """The CSV that ``latforge sweep`` writes for ``b``."""
+    lat, csv = tmp_path / "b.lat", tmp_path / "t.csv"
+    save_lattice(b, lat)
+    argv = ["sweep", "--radii", radii, "--samples", samples, "--seed", seed, "--in", str(lat)]
+    assert cli_main([*argv, "--out-csv", str(csv)]) == 0
+    return csv.read_text(encoding="utf-8")
 
 
 class TestSummarize:
@@ -37,40 +49,36 @@ class TestSummarize:
 class TestSweep:
     def test_radius_zero_row_collapses(self):
         b = uniform_basis(6, -99, 99, seed=1)
-        result = radius_sweep(b, [0], 5, A34, seed=3)
-        row = result.rows[0]
+        (row,) = radius_sweep(b, [0], 5, A34, seed=3)
         expected = metrics(lll_reduce(b, A34)).shortest
         assert row.min == row.max == row.mean == expected
         assert row.std == 0 and row.range == 0
 
     def test_row_invariants(self):
         b = uniform_basis(8, -999, 999, seed=2)
-        result = radius_sweep(b, [3, 5, 8], 6, A34, seed=4)
-        for row in result.rows:
+        for row in radius_sweep(b, [3, 5, 8], 6, A34, seed=4):
             assert row.range == row.max - row.min
             assert row.min <= row.mean <= row.max
 
-    def test_csv_shape(self):
-        b = uniform_basis(6, -99, 99, seed=3)
-        csv = radius_sweep(b, [0, 4], 3, A34, seed=5).to_csv()
+    def test_csv_shape(self, tmp_path):
+        csv = sweep_csv(tmp_path, uniform_basis(6, -99, 99, seed=3), "0,4", "3", "5")
         lines = csv.strip().split("\n")
         assert lines[0] == "radius,min,max,mean,std,range"
         assert len(lines) == 3
         assert lines[1].startswith("0,")
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         b = uniform_basis(6, -99, 99, seed=4)
-        a = radius_sweep(b, [4], 4, A34, seed=6).to_csv()
-        c = radius_sweep(b, [4], 4, A34, seed=6).to_csv()
-        assert a == c
+        rows = radius_sweep(b, [4], 4, A34, seed=6)
+        assert radius_sweep(b, [4], 4, A34, seed=6) == rows
+        assert sweep_csv(tmp_path, b, "4", "4", "6") == sweep_csv(tmp_path, b, "4", "4", "6")
 
     def test_rank40_sensitivity_is_nondegenerate(self):
         # Qualitative sensitivity: on the standard rank-40 corpus with
         # 60-bit entries, distinct permutations give distinct outcomes at
         # every probed radius (nonzero spread, small and large radii alike).
         b = knapsack_basis(40, bits=60, seed=1)
-        result = radius_sweep(b, [10, 20, 30, 39], 6, A34, seed=71)
-        assert all(row.std > 0 for row in result.rows)
+        assert all(row.std > 0 for row in radius_sweep(b, [10, 20, 30, 39], 6, A34, seed=71))
 
 
 class TestImprovementFrequency:
@@ -90,6 +98,15 @@ class TestImprovementFrequency:
         for value in freqs.values():
             assert 0.0 <= value <= 1.0
             assert (value * 8) == int(value * 8)
+
+    def test_input_is_reduced_first(self):
+        # Copies are drawn from the reduced input and compared with its
+        # shortest row, so an unreduced input reads as its reduction does.
+        b = uniform_basis(10, -99, 99, seed=1)
+        assert not is_lll_reduced(b, A34)
+        freqs = improvement_frequency(b, [4, 8], 20, A34, seed=1)
+        assert freqs == improvement_frequency(lll_reduce(b, A34), [4, 8], 20, A34, seed=1)
+        assert all(0 < f < 1 for f in freqs.values())
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +131,7 @@ class TestAgainstTheReference:
         lengths = sampled_shortest_sq(reduced10, [8, 4], 20, A34, seed=1)
         assert all(len(set(xs)) > 1 for xs in lengths.values())  # a nonzero spread
         expected = tuple(summarize(r, [_sqrt(x) for x in xs]) for r, xs in lengths.items())
-        assert radius_sweep(reduced10, [8, 4], 20, A34, seed=1).rows == expected
+        assert radius_sweep(reduced10, [8, 4], 20, A34, seed=1) == expected
 
 
 class TestRepeatedRadius:

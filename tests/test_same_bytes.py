@@ -65,6 +65,11 @@ RUNS = {
         "freq", "--radii", "4,8", "--samples", "6", "--seed", "1", "--in", "u10r.lat",
         "--out-csv", "t.csv", *REPORT,
     ],
+    # freq reduces its input first, so this table is freq-reduced's.
+    "freq-unreduced": [
+        "freq", "--radii", "4,8", "--samples", "6", "--seed", "1", "--in", "u10.lat",
+        "--out-csv", "t.csv", *REPORT,
+    ],
     "oracle": ["oracle", "--bound", "2", "--in", "u5.lat", *REPORT],
     "exit1-position": ["lll", "--in", "bad.lat", *REPORT],
     "exit2-budget": ["oracle", "--bound", "9", "--budget", "100", "--in", "u5.lat", *REPORT],
@@ -79,9 +84,10 @@ EXPECTED = {
     "ldsf": (0, "4622e934978aedc4", None, "1fc1a0e750f21043", None),
     "hybrid": (0, "33fe9784efe42b0f", None, "86dc30143b0bdb1a", None),
     "sweep": (0, "9398fa2bd11e1b20", "3596c40f47d21a1a", None, None),
-    "freq": (0, "4a21d54f9506fdef", "961e37d1ecd55b75", None, None),
+    "freq": (0, "d9a7a652122faf97", "978dd0e8bab3b797", None, None),
     "sweep-reduced": (0, "94c03aca4bda7d39", "ef93eead15807cd7", None, None),
     "freq-reduced": (0, "fa73cbe3272d387b", "ca8a4ad47acd21d3", None, None),
+    "freq-unreduced": (0, "ed26773f37dfd96e", "ca8a4ad47acd21d3", None, None),
     "oracle": (0, "8c3a2a7c4a2ff513", None, "e9ddd72e1f9f87e2", None),
     "exit1-position": (1, None, None, None, "52d4db58a592d9f4"),
     "exit2-budget": (2, None, None, None, "96f1e027ab93d1cf"),
@@ -103,6 +109,7 @@ def outputs(name: str) -> list:
     save_lattice(uniform_basis(5, -20, 20, seed=2), "u5.lat")
     # Reduced, so that its re-reduced copies differ: freq reads 0.833 and 0.667.
     save_lattice(lll_reduce(uniform_basis(10, -99, 99, seed=1)), "u10r.lat")
+    save_lattice(uniform_basis(10, -99, 99, seed=1), "u10.lat")
     Path("bad.lat").write_text("[[1 0]\n[0 x1]]\n", encoding="utf-8")
     Path("stages.json").write_text(json.dumps(STAGES), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -122,6 +129,13 @@ def digests(name: str) -> dict:
 def test_same_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert digests(name) == dict(zip(FIELDS, EXPECTED[name]))
+
+
+def test_freq_reads_an_input_as_its_reduction(tmp_path, monkeypatch):
+    # The digests cover this too; this says why the two tables agree.
+    monkeypatch.chdir(tmp_path)
+    table = b"radius,frequency\n4,0.833333\n8,0.666667\n"
+    assert outputs("freq-unreduced")[2] == outputs("freq-reduced")[2] == table
 
 
 @pytest.mark.parametrize(
