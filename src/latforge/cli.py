@@ -31,14 +31,6 @@ from .pipeline import load_stages, run_pipeline
 COMPUTATION_ERRORS = (BoxTooLargeError, DependentRowsError)
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the contract here is 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _int(text: str) -> int:
     # argparse's own int message, but a text past 40 characters is cut:
     # int() rejects one of over 4,300 digits, which argparse quotes in full.
@@ -82,12 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--in", dest="infile", required=True, help="lattice file")
     common.add_argument("--report", help="write a JSON report to this file")
 
-    parser = _Parser(prog="latforge", description=__doc__)
+    parser = argparse.ArgumentParser(prog="latforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("lll", parents=[tuned, common], help="single reduction")
+    lll = sub.add_parser("lll", parents=[tuned, common], help="single reduction")
+    lll.set_defaults(run=_cmd_lll)
 
     hc = sub.add_parser("hc", parents=[tuned, common], help="hill climbing reduction")
+    hc.set_defaults(run=_cmd_hc)
     hc.add_argument("--radius", type=_int, help="fixed-radius walk")
     hc.add_argument("--r0", type=_int, help="starting radius of a variable walk")
     hc.add_argument(
@@ -99,23 +93,28 @@ def build_parser() -> argparse.ArgumentParser:
     hc.add_argument("--target", type=_decimal, help="stop once this length is reached")
 
     ld = sub.add_parser("ldsf", parents=[tuned, common], help="diffusion/fusion reduction")
+    ld.set_defaults(run=_cmd_ldsf)
     ld.add_argument("--blocks", type=_int, required=True, help="initial block count")
     ld.add_argument("--inner", type=_int, default=1, help="inner iterations M")
     ld.add_argument("--outer", type=_int, default=1, help="outer iterations N")
     ld.add_argument("--target", type=_decimal, help="stop once this length is reached")
 
     hy = sub.add_parser("hybrid", parents=[tuned, common], help="multistage pipeline")
+    hy.set_defaults(run=_cmd_hybrid)
     hy.add_argument("--stages", required=True, help="JSON stage list file")
 
-    for name, what in (
-        ("sweep", "shortest-length statistics"), ("freq", "improvement frequency")
+    for name, what, run in (
+        ("sweep", "shortest-length statistics", _cmd_sweep),
+        ("freq", "improvement frequency", _cmd_freq),
     ):
         table = sub.add_parser(name, parents=[tuned, common], help=f"{what} per radius")
+        table.set_defaults(run=run)
         table.add_argument("--radii", type=_radii, required=True, help="e.g. 5,10,15")
         table.add_argument("--samples", type=_int, default=100, help="permutations per radius")
         table.add_argument("--out-csv", help="write the table to this CSV file")
 
     orc = sub.add_parser("oracle", parents=[common], help="exhaustive shortest vector")
+    orc.set_defaults(run=_cmd_oracle)
     orc.add_argument("--bound", type=_int, default=2, help="coefficient box half-width")
     orc.add_argument(
         "--budget", type=_int, default=DEFAULT_ENUM_BUDGET, help="enumeration budget"
@@ -233,30 +232,19 @@ def _cmd_oracle(args, b: Basis) -> Callable[[], dict]:
     return lambda: serialize.svp_dict(result)
 
 
-_COMMANDS = {
-    "lll": _cmd_lll,
-    "hc": _cmd_hc,
-    "ldsf": _cmd_ldsf,
-    "hybrid": _cmd_hybrid,
-    "sweep": _cmd_sweep,
-    "freq": _cmd_freq,
-    "oracle": _cmd_oracle,
-}
-
-
 def cli_main(argv: Sequence[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 1
+        # argparse exits 0 after --help and 2 on bad usage; usage is 1 here.
+        return 0 if exc.code == 0 else 1
     try:
         echo = {"command": args.command, "input": args.infile}
         if "alpha" in args:
             args.alpha = LllParams(args.alpha)
             echo.update(alpha=str(args.alpha.alpha), seed=args.seed)
-        build_report = _COMMANDS[args.command](args, load_lattice(args.infile).basis)
+        build_report = args.run(args, load_lattice(args.infile).basis)
         if args.report:
             _write(args.report, serialize.to_json({**build_report(), **echo}))
         return 0

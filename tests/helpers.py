@@ -46,7 +46,10 @@ size ``count_at_radius`` in closed form next to ``brute_force_count``, and
 ``improvement_frequency`` share, written from their docstrings with
 ``hashlib.blake2b`` and ``random.Random``, not the library's seed or
 sampler code: each copy's seed, sphere draw, row order and reduction
-(``lll_reduce_reference``).
+(``lll_reduce_reference``).  ``hill_climb_reference`` (the fixed- and
+variable-radius walks) and ``ldsf_run_reference`` are written from the
+docstrings of ``hill_climb`` and ``ldsf_run`` in the same way: their own
+seeds, sphere and right draws, block cuts, comparison keys and reductions.
 """
 
 from __future__ import annotations
@@ -465,6 +468,23 @@ def _seeded(*parts) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
+def _sphere_order(m: int, r: int, rng: random.Random) -> list[int]:
+    """A draw from the sphere of radius r in S_m as a 0-based row order:
+    a sorted r-subset of the positions, then shuffles of it until no
+    position keeps its row.  Radius 0 draws nothing."""
+    order = list(range(m))
+    if r:
+        positions = sorted(rng.sample(range(m), r))
+        shuffled = positions[:]
+        while True:
+            rng.shuffle(shuffled)
+            if all(a != c for a, c in zip(shuffled, positions)):
+                break
+        for pos, img in zip(positions, shuffled):
+            order[pos] = img
+    return order
+
+
 def sampled_shortest_sq(
     b: Basis, radii, n_samples: int, alpha: LllParams, seed: int
 ) -> dict[int, list[int]]:
@@ -477,21 +497,98 @@ def sampled_shortest_sq(
     for r in radii:
         lengths = []
         for i in range(n_samples):
-            rng = _seeded(seed, "sweep", r, i)
-            order = list(range(b.m))
-            if r:
-                positions = sorted(rng.sample(range(b.m), r))
-                shuffled = positions[:]
-                while True:
-                    rng.shuffle(shuffled)
-                    if all(a != c for a, c in zip(shuffled, positions)):
-                        break
-                for pos, img in zip(positions, shuffled):
-                    order[pos] = img
+            order = _sphere_order(b.m, r, _seeded(seed, "sweep", r, i))
             copy = lll_reduce_reference(Basis([b.rows[j] for j in order]), alpha)
             lengths.append(min(_dot(row, row) for row in copy.rows))
         out[r] = lengths
     return out
+
+
+def _key(b: Basis) -> tuple[int, int, int]:
+    """Least squared row norm, their product, the greatest."""
+    sq = [_dot(row, row) for row in b.rows]
+    return min(sq), math.prod(sq), max(sq)
+
+
+def hill_climb_reference(
+    b0: Basis, r0: int, rstep: int, k: int, max_steps: int, alpha: LllParams,
+    target: Decimal, seed: int,
+) -> tuple[list[tuple[tuple[int, ...], Basis, bool]], Basis]:
+    """The fixed-radius (``rstep`` 0) or variable-radius walk from the
+    reduced ``b0``: each step's (images, basis, improved) and the best basis.
+
+    Step i draws k permutations of radius min(m, r0 + (i-1) * rstep), the
+    j-th from seed parts (seed, "hc", i, j), reduces every permuted copy of
+    the current basis and moves to the first copy of least key, uphill or
+    not; a step improves when that key is below the best so far.  The walk
+    stops once the best shortest row is at most ``target``."""
+    current = best = lll_reduce_reference(b0, alpha)
+    best_key = _key(best)
+    steps = []
+    for i in range(1, max_steps + 1):
+        if _sqrt(best_key[0]) <= target:
+            break
+        r = min(b0.m, r0 + (i - 1) * rstep)
+        orders = [_sphere_order(b0.m, r, _seeded(seed, "hc", i, j)) for j in range(k)]
+        copies = [
+            lll_reduce_reference(Basis([current.rows[o] for o in order]), alpha)
+            for order in orders
+        ]
+        keys = [_key(c) for c in copies]
+        j = keys.index(min(keys))
+        current, improved = copies[j], keys[j] < best_key
+        if improved:
+            best, best_key = current, keys[j]
+        steps.append((tuple(o + 1 for o in orders[j]), current, improved))
+    return steps, best
+
+
+def _block_sizes(m: int, k: int) -> list[int]:
+    """k - 1 blocks of ceil(m/k) rows and the rest last; an even split,
+    the larger blocks first, when that leaves the last below 2 rows."""
+    beta = -(-m // k)
+    last = m - (k - 1) * beta
+    if k == 1 or last >= 2:
+        return [beta] * (k - 1) + [last]
+    base, rem = divmod(m, k)
+    return [base + 1] * rem + [base] * (k - rem)
+
+
+def ldsf_run_reference(
+    b: Basis, servers: int, inner_iters: int, outer_iters: int, alpha: LllParams,
+    target: Decimal | None, seed: int,
+) -> tuple[list[tuple[tuple[int, ...], Basis]], Basis]:
+    """Each LDSF round's (images, fused basis) and the best fused basis.
+
+    Round (outer, inner) shuffles the row positions with seed parts (seed,
+    "ldsf", outer, inner, "cut") and cuts them into ``_block_sizes`` blocks,
+    reduces each block, joins the blocks in order, and rearranges the rows
+    by a right permutation from (seed, "ldsf", outer, inner, "mix"): a
+    radius drawn from (m/2, m], then a sphere draw.  The best basis is the
+    first of least shortest row.  An outer pass ends the run when that row
+    is at most ``target``, and otherwise drops the block count by one."""
+    m, k, current = b.m, servers, b
+    best, best_sq, rounds = b, None, []
+    for outer in range(1, outer_iters + 1):
+        for inner in range(1, inner_iters + 1):
+            order = list(range(m))
+            _seeded(seed, "ldsf", outer, inner, "cut").shuffle(order)
+            joined, at = [], 0
+            for size in _block_sizes(m, k):
+                block = Basis([current.rows[i] for i in order[at : at + size]])
+                joined += lll_reduce_reference(block, alpha).rows
+                at += size
+            mix = _seeded(seed, "ldsf", outer, inner, "mix")
+            images = [o + 1 for o in _sphere_order(m, mix.randint(m // 2 + 1, m), mix)]
+            current = Basis([joined[i - 1] for i in images])
+            fused_sq = _key(current)[0]
+            if best_sq is None or fused_sq < best_sq:
+                best, best_sq = current, fused_sq
+            rounds.append((tuple(images), current))
+        if target is not None and _sqrt(best_sq) <= target:
+            break
+        k = max(1, k - 1)
+    return rounds, best
 
 
 class _Scanner:

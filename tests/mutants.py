@@ -452,25 +452,35 @@ MUTANTS = (
         (
             "tests/test_hillclimb.py::TestFixed::test_each_step_moves_to_the_least_key",
             "tests/test_hillclimb.py::TestVariable::test_soft_runtime_claim_on_pinned_seeds",
+            "tests/test_hillclimb.py::TestAgainstTheReference",
         ),
     ),
     Mutant(
         "hill_climb: an equal key counts as improved", "hillclimb.py",
         "        improved = keyed[j] < best_key\n",
         "        improved = keyed[j] <= best_key\n",
-        ("tests/test_hillclimb.py::TestFixed::test_identity_already_optimal",),
+        (
+            "tests/test_hillclimb.py::TestFixed::test_identity_already_optimal",
+            "tests/test_hillclimb.py::TestAgainstTheReference",
+        ),
     ),
     Mutant(
         "ldsf_run: a tied round replaces the best", "ldsf.py",
         "            if best_sq is None or fused_min_sq < best_sq:\n",
         "            if best_sq is None or fused_min_sq <= best_sq:\n",
-        ("tests/test_ldsf.py::TestRun::test_a_tied_round_keeps_the_earlier_best",),
+        (
+            "tests/test_ldsf.py::TestRun::test_a_tied_round_keeps_the_earlier_best",
+            "tests/test_ldsf.py::TestAgainstTheReference",
+        ),
     ),
     Mutant(
         "ldsf_run: the first round never replaced", "ldsf.py",
         "            if best_sq is None or fused_min_sq < best_sq:\n",
         "            if best_sq is None:\n",
-        ("tests/test_ldsf.py::TestRun::test_best_norm_is_running_min",),
+        (
+            "tests/test_ldsf.py::TestRun::test_best_norm_is_running_min",
+            "tests/test_ldsf.py::TestAgainstTheReference",
+        ),
     ),
     Mutant(
         "sigma stage: the first candidate kept", "pipeline.py",
@@ -577,6 +587,24 @@ MUTANTS = (
         'computation failed: {exc}", file=sys.stderr)\n        return 2\n',
         'computation failed: {exc}", file=sys.stderr)\n        return 1\n',
         ("tests/test_cli.py::TestOracle::test_budget_exceeded_is_computation_error",),
+    ),
+    Mutant(
+        "cli: a usage error exits with argparse's status", "cli.py",
+        "        return 0 if exc.code == 0 else 1\n",
+        "        return exc.code\n",
+        (
+            "tests/test_cli.py::TestErrors::test_unknown_command_usage",
+            "tests/test_same_bytes.py::test_same_bytes",
+        ),
+    ),
+    Mutant(
+        "cli: --help exits 1", "cli.py",
+        "        return 0 if exc.code == 0 else 1\n",
+        "        return 1\n",
+        (
+            "tests/test_cli.py::TestErrors::test_help_exits_zero",
+            "tests/test_same_bytes.py::test_same_bytes",
+        ),
     ),
     Mutant(
         "serialize: the permutation of an hc step dropped", "serialize.py",

@@ -566,7 +566,8 @@ class TestInternalError:
         def fail(args, lattice):
             raise RuntimeError("handler failed")
 
-        monkeypatch.setitem(cli._COMMANDS, "lll", fail)
+        # cli_main builds its parser on every call, so lll binds this.
+        monkeypatch.setattr(cli, "_cmd_lll", fail)
         assert cli_main(["lll", "--in", id4]) == 2
         assert capsys.readouterr().err == "latforge lll: internal error: handler failed\n"
 
@@ -667,10 +668,11 @@ class TestOptions:
             a.choices for a in cli.build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         ]
-        assert set(commands) == set(cli._COMMANDS)
+        handlers = {name: parser.get_default("run") for name, parser in commands.items()}
+        assert None not in handlers.values()
         unread = [
             f"{name} --{action.dest}"
-            for name, handler in cli._COMMANDS.items()
+            for name, handler in handlers.items()
             for action in commands[name]._actions
             if not isinstance(action, argparse._HelpAction)
             and action.dest not in shared | args_read(handler.__name__)
@@ -756,8 +758,13 @@ class TestReadme:
             if line.startswith("latforge ")
         ]
         assert len(lines) == 9
-        commands = [cli.build_parser().parse_args(shlex.split(line)[1:]).command for line in lines]
-        assert set(commands) == set(cli._COMMANDS)
+        parser = cli.build_parser()
+        (commands,) = [
+            a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert None not in {sub.get_default("run") for sub in commands.values()}
+        read = [parser.parse_args(shlex.split(line)[1:]).command for line in lines]
+        assert set(read) == set(commands)
 
     def test_library_block_runs(self, capsys):
         (library,) = self.blocks("python")

@@ -1,7 +1,10 @@
 import statistics
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latforge import (
     Basis,
@@ -25,7 +28,8 @@ from latforge import (
 from latforge import hillclimb
 from latforge.serialize import hc_trace_dict
 
-from helpers import _gram_det_bareiss, moved_points, reference_metrics
+from helpers import _gram_det_bareiss, hill_climb_reference, moved_points, reference_metrics
+from test_core import SMALL_BASES
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -215,6 +219,39 @@ class TestVariable:
                 max_steps=2,
                 alpha=A34,
             )
+
+
+class TestAgainstTheReference:
+    """The fixed-radius (rstep 0) and variable-radius walks against
+    ``hill_climb_reference``: every step and the best basis."""
+
+    @staticmethod
+    def check(b, r0, rstep, k, p, alpha, target, seed):
+        kind = FixedRadius(r0) if rstep == 0 else VariableRadius(r0, rstep)
+        cfg = HcConfig(
+            kind=kind, sample_size=k, max_steps=p, alpha=alpha, target_bound=target, seed=seed
+        )
+        trace = hill_climb(b, cfg)
+        steps, best = hill_climb_reference(b, r0, rstep, k, p, alpha, Decimal(target), seed)
+        assert [(s.permutation.images, s.basis, s.improved) for s in trace.steps] == steps
+        assert trace.best_basis == best
+        return steps
+
+    @pytest.mark.parametrize(
+        "r0, rstep, k, p, alpha, target, seed",
+        [(6, 0, 4, 3, LllParams(Fraction(51, 100)), 10, 7), (2, 2, 3, 3, A34, 0, 0)],
+        ids=["hc-radius", "hc-r0"],
+    )
+    def test_same_bytes_rows(self, r0, rstep, k, p, alpha, target, seed):
+        assert self.check(knapsack_basis(12, 40, seed=3), r0, rstep, k, p, alpha, target, seed)
+
+    @given(b=SMALL_BASES, data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_small_walks(self, b, data):
+        r0, rstep, k, p, seed = (
+            data.draw(st.integers(lo, hi)) for lo, hi in [(2, b.m), (0, 3), (1, 4), (1, 3), (0, 9)]
+        )
+        self.check(b, r0, rstep, k, p, A34, 0, seed)
 
 
 class TestPsl2Walk:

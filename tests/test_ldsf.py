@@ -1,8 +1,11 @@
 import math
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latforge import (
     Basis,
@@ -27,7 +30,8 @@ from latforge import ldsf as ldsf_mod
 from latforge.ldsf import block_sizes, sigma_candidates
 from latforge.parallel import derive_rng, derive_seed
 
-from helpers import reference_metrics
+from helpers import ldsf_run_reference, reference_metrics
+from test_core import SMALL_BASES
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -183,6 +187,31 @@ def sigma_stage(b, blocks, sample, inner=1, seed=0):
         kind="sigma", alpha=A34, blocks=blocks, sample_n=sample, inner_iters=inner
     )
     return run_pipeline(b, [stage], seed=seed).final_basis
+
+
+class TestAgainstTheReference:
+    """``ldsf_run`` against ``ldsf_run_reference``: every round and the
+    best basis."""
+
+    @staticmethod
+    def check(b, k, inner, outer, target, seed):
+        trace = ldsf_run(b, cfg(k, inner=inner, outer=outer, seed=seed, target=target))
+        target = None if target is None else Decimal(target)
+        rounds, best = ldsf_run_reference(b, k, inner, outer, A34, target, seed)
+        assert [(r.permutation.images, r.fused_basis) for r in trace.rounds] == rounds
+        assert trace.best_basis == best
+        return rounds
+
+    def test_same_bytes_row(self):
+        # The options of the ldsf same-bytes row: four rounds, no early stop.
+        rounds = self.check(knapsack_basis(12, 40, seed=3), 3, 2, 2, target=1, seed=4)
+        assert len(rounds) == 4
+
+    @given(b=SMALL_BASES, data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_small_runs(self, b, data):
+        k, inner, outer, seed = (data.draw(st.integers(1, n)) for n in (b.m // 2, 2, 3, 10))
+        self.check(b, k, inner, outer, target=None, seed=seed)
 
 
 class TestSigma:

@@ -73,6 +73,11 @@ RUNS = {
     "oracle": ["oracle", "--bound", "2", "--in", "u5.lat", *REPORT],
     "exit1-position": ["lll", "--in", "bad.lat", *REPORT],
     "exit2-budget": ["oracle", "--bound", "9", "--budget", "100", "--in", "u5.lat", *REPORT],
+    # argparse's own usage and help text, wrapped at COLUMNS=80.
+    "usage-unknown-command": ["bogus"],
+    "usage-bad-int": ["hc", "--k", "x", "--in", "k12.lat"],
+    "usage-missing-in": ["lll"],
+    "help": ["--help"],
 }
 FIELDS = ("code", "report", "csv", "stdout", "stderr")
 EXPECTED = {
@@ -91,6 +96,10 @@ EXPECTED = {
     "oracle": (0, "8c3a2a7c4a2ff513", None, "e9ddd72e1f9f87e2", None),
     "exit1-position": (1, None, None, None, "52d4db58a592d9f4"),
     "exit2-budget": (2, None, None, None, "96f1e027ab93d1cf"),
+    "usage-unknown-command": (1, None, None, None, "b223dcf3fa3c23a6"),
+    "usage-bad-int": (1, None, None, None, "107b8e8d8ea8eccf"),
+    "usage-missing-in": (1, None, None, None, "7be0306d4721f4f9"),
+    "help": (0, None, None, "08a4f8b0bea96f63", None),
 }
 
 
@@ -128,6 +137,8 @@ def digests(name: str) -> dict:
 @pytest.mark.parametrize("name", RUNS)
 def test_same_bytes(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    # argparse wraps usage and help to shutil.get_terminal_size().
+    monkeypatch.setenv("COLUMNS", "80")
     assert digests(name) == dict(zip(FIELDS, EXPECTED[name]))
 
 
