@@ -22,7 +22,7 @@ _MODULE_OF = {
         "lll": "LllParams lll_reduce is_lll_reduced",
         "perm": "Permutation sample_at_radius sample_right psl2_permutations apply",
         "hillclimb": "FixedRadius VariableRadius Psl2 HcConfig HcStep HcTrace det_bound hill_climb",
-        "ldsf": "LdsfConfig LdsfRound LdsfTrace diffuse fuse ldsf_run",
+        "ldsf": "LdsfConfig LdsfRound LdsfTrace ldsf_run",
         "pipeline": "StageSpec StageReport PipelineReport default_four_stage run_pipeline",
         "latfile": "LatticeFile parse_lattice format_lattice load_lattice",
         "bench": "SweepRow radius_sweep improvement_frequency",

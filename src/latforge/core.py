@@ -108,10 +108,6 @@ class Basis(Record):
     def __post_init__(self):
         rows = tuple(_exact_ints(row, "basis entry") for row in self.rows)
         object.__setattr__(self, "rows", rows)
-        self._check_shape()
-
-    def _check_shape(self) -> None:
-        rows = self.rows
         if not rows:
             raise ValueError("basis needs at least one row")
         n = len(rows[0])
@@ -126,7 +122,7 @@ class Basis(Record):
         int tuples, at most as many as their length, taken from other bases
         or computed from them by integer arithmetic.  They are bound as
         given, with no copy and no check; rows from outside go through
-        ``Basis(rows)``.  An LDSF round builds 2k + 3 bases this way.  With
+        ``Basis(rows)``.  An LDSF round builds 2k + 2 bases this way.  With
         ``like``, a basis of the same lattice, they keep its ``gram_det`` if known."""
         b = object.__new__(cls)
         b.__dict__["rows"] = rows
@@ -582,7 +578,9 @@ def svp_oracle(
     past the best norm ends the level.  A branch is cut once it
     exceeds the best norm found so far, starting from the shortest row
     (its unit coefficient vector is in the box).  Ties survive the cut, so
-    every minimum in the box is reached.
+    every minimum in the box is reached.  The walk is a loop over an
+    explicit stack of levels (Schnorr-Euchner's iterative form), so its
+    depth is not bounded by the recursion limit.
     """
     if coeff_bound < 1 or budget < 1:
         raise ValueError(
@@ -601,20 +599,26 @@ def svp_oracle(
     best_sq, first = min((b.row_normsq(i), i) for i in range(m))
     best = tuple(int(j == first) for j in range(m))
 
-    def search(i: int, partial: Fraction) -> None:
-        nonlocal best_sq, best
-        center = -sum(x[j] * mu[j][i] for j in range(i + 1, m))
-        for xi in _zigzag(center, coeff_bound):
-            sq = partial + (xi - center) ** 2 * normsq[i]
-            if sq > best_sq:
-                return
-            x[i] = xi
-            if i:
-                search(i - 1, sq)
-            elif any(x) and (sq < best_sq or tuple(x) < best):
-                best_sq, best = sq, tuple(x)
+    def level(i: int, partial: Fraction):
+        center = -sum(x[j] * mu[j][i] for j in range(i + 1, m) if x[j])
+        return i, iter(_zigzag(center, coeff_bound)), center, partial
 
-    search(m - 1, Fraction(0))
+    # The level being walked, and the levels above it as they were left.
+    i, values, center, partial = level(m - 1, Fraction(0))
+    above = []
+    while True:
+        xi = next(values, None)
+        if xi is None or (sq := partial + (xi - center) ** 2 * normsq[i]) > best_sq:
+            if not above:
+                break
+            i, values, center, partial = above.pop()
+            continue
+        x[i] = xi
+        if i:
+            above.append((i, values, center, partial))
+            i, values, center, partial = level(i - 1, sq)
+        elif any(x) and (sq < best_sq or tuple(x) < best):
+            best_sq, best = sq, tuple(x)
     vector = tuple(
         sum(c * row[j] for c, row in zip(best, b.rows)) for j in range(b.n)
     )

@@ -1,8 +1,8 @@
 """Lattice diffusion and sublattice fusion.
 
-One inner iteration shuffles the rows, cuts them into disjoint blocks,
-reduces every block independently, concatenates the reduced blocks and
-rearranges the result with a fresh right permutation.
+Each round of ``ldsf_run`` (one inner iteration) shuffles the rows, cuts
+them into disjoint blocks, reduces every block independently, concatenates
+the reduced blocks and rearranges the result with a fresh right permutation.
 The outer loop drops the block count by one each pass, so blocks grow until
 the reduction is effectively whole-basis.  ``sigma_candidates`` runs it
 from n sampled starting permutations; a sigma stage of ``run_pipeline``
@@ -82,39 +82,17 @@ def block_sizes(m: int, k: int) -> list[int]:
     return [base + 1] * rem + [base] * (k - rem)
 
 
-def diffuse(b: Basis, k: int, rng: random.Random) -> list[Basis]:
-    """Random disjoint partition of the rows into k blocks of about m/k rows.
-
-    Every row lands in exactly one block, so the union of the blocks spans
-    the original lattice and each block is itself a basis.
-    """
-    sizes = block_sizes(b.m, k)
-    order = list(range(b.m))
-    rng.shuffle(order)
-    blocks = []
-    at = 0
-    for size in sizes:
-        blocks.append(Basis._built(tuple(b.rows[i] for i in order[at : at + size])))
-        at += size
-    return blocks
-
-
-def fuse(blocks: list[Basis], p: Permutation) -> Basis:
-    """Concatenate blocks in order, then rearrange rows by p; ``apply``
-    raises DegreeMismatchError when p's degree is not the row count.  The
-    rows are the blocks' own ints, so only the shape is checked."""
-    joined = Basis._built(tuple(row for blk in blocks for row in blk.rows))
-    joined._check_shape()
-    return apply(joined, p)
-
-
 def ldsf_run(b: Basis, cfg: LdsfConfig) -> LdsfTrace:
-    """Diffuse / reduce / fuse for M inner iterations per outer pass.
+    """Diffuse / reduce / fuse for M inner rounds per outer pass.
 
-    Each outer pass drops the block count k by one (floored at 1), so blocks
-    grow to ceil(m / k) rows.  Stops after an outer pass whose best fused
-    shortest vector meets ``target_bound``.  All randomness is derived from
-    (seed, outer, inner), so traces replay identically.
+    A round shuffles the row positions with the (seed, "ldsf", outer, inner,
+    "cut") generator and cuts them into ``block_sizes(m, k)`` blocks, so
+    every row lands in exactly one block and each block is a basis.  It
+    reduces each block, joins the reduced rows in block order and
+    rearranges them by a right permutation drawn from (..., "mix"): fused
+    row i is joined row pi(i).  Each outer pass drops the block count k by
+    one (floored at 1), so blocks grow to ceil(m / k) rows.  Stops after an
+    outer pass whose best fused shortest vector meets ``target_bound``.
     Fused bases span the lattice of ``b`` and carry ``gram_det(b)``.
     The fusing permutation is a right one, so a rank below 3 raises
     DegreeTooSmallError before any reduction.
@@ -130,10 +108,16 @@ def ldsf_run(b: Basis, cfg: LdsfConfig) -> LdsfTrace:
     reached = False
     for outer in range(1, cfg.outer_iters + 1):
         for inner in range(1, cfg.inner_iters + 1):
-            blocks = diffuse(current, k, derive_rng(cfg.seed, "ldsf", outer, inner, "cut"))
-            reduced = [lll_reduce(blk, cfg.alpha) for blk in blocks]
+            order = list(range(m))
+            derive_rng(cfg.seed, "ldsf", outer, inner, "cut").shuffle(order)
+            reduced, at = [], 0
+            for size in block_sizes(m, k):
+                block = Basis._built(tuple(current.rows[i] for i in order[at : at + size]))
+                reduced.append(lll_reduce(block, cfg.alpha))
+                at += size
             pi = sample_right(m, derive_rng(cfg.seed, "ldsf", outer, inner, "mix"))
-            current = Basis._built(fuse(reduced, pi).rows, like=b)
+            joined = Basis._built(tuple(row for blk in reduced for row in blk.rows), like=b)
+            current = apply(joined, pi)
             fused_min_sq = min(current.row_normsq(i) for i in range(m))
             if best_sq is None or fused_min_sq < best_sq:
                 best_sq, best_basis = fused_min_sq, current

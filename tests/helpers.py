@@ -50,15 +50,20 @@ sampler code: each copy's seed, sphere draw, row order and reduction
 variable-radius walks) and ``ldsf_run_reference`` are written from the
 docstrings of ``hill_climb`` and ``ldsf_run`` in the same way: their own
 seeds, sphere and right draws, block cuts, comparison keys and reductions.
+``sigma_stage_reference`` (n of those LDSF runs from right-permuted starts,
+keeping the least key) and ``run_pipeline_reference`` (the stage list with
+its llb/lub rule) are built on ``ldsf_run_reference`` in the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import hashlib
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
@@ -296,6 +301,21 @@ def counting(calls: Counter, name: str, fn):
     return wrapped
 
 
+@contextlib.contextmanager
+def recursion_headroom(frames: int):
+    """Run the block under a recursion limit ``frames`` above the stack depth
+    it starts at, which counts the test runner's frames too."""
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def _is_lll_reduced_fraction(b: Basis, params: LllParams = DEFAULT_PARAMS) -> bool:
     """Reference LLL check: |mu_ij| <= 1/2 and the Lovasz condition on the
     exact rational Gram-Schmidt data."""
@@ -459,13 +479,16 @@ def lll_reduce_reference(b: Basis, params: LllParams = DEFAULT_PARAMS) -> Basis:
     return Basis(rows)
 
 
-def _seeded(*parts) -> random.Random:
-    """The generator of ``derive_seed``'s docstring: blake2b over the parts
+def _seed(*parts) -> int:
+    """The seed of ``derive_seed``'s docstring: blake2b over the parts
     joined by U+001F, an int rendered by ``str`` and any other part by
     ``repr``, the 8-byte digest read big-endian."""
     text = "\x1f".join(str(p) if type(p) is int else repr(p) for p in parts)
-    digest = hashlib.blake2b(text.encode(), digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
+    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+
+
+def _seeded(*parts) -> random.Random:
+    return random.Random(_seed(*parts))
 
 
 def _sphere_order(m: int, r: int, rng: random.Random) -> list[int]:
@@ -483,6 +506,12 @@ def _sphere_order(m: int, r: int, rng: random.Random) -> list[int]:
         for pos, img in zip(positions, shuffled):
             order[pos] = img
     return order
+
+
+def _right_order(m: int, rng: random.Random) -> list[int]:
+    """A right permutation as a 0-based row order: a radius drawn from
+    (m/2, m], then a sphere draw."""
+    return _sphere_order(m, rng.randint(m // 2 + 1, m), rng)
 
 
 def sampled_shortest_sq(
@@ -578,8 +607,7 @@ def ldsf_run_reference(
                 block = Basis([current.rows[i] for i in order[at : at + size]])
                 joined += lll_reduce_reference(block, alpha).rows
                 at += size
-            mix = _seeded(seed, "ldsf", outer, inner, "mix")
-            images = [o + 1 for o in _sphere_order(m, mix.randint(m // 2 + 1, m), mix)]
+            images = [o + 1 for o in _right_order(m, _seeded(seed, "ldsf", outer, inner, "mix"))]
             current = Basis([joined[i - 1] for i in images])
             fused_sq = _key(current)[0]
             if best_sq is None or fused_sq < best_sq:
@@ -589,6 +617,63 @@ def ldsf_run_reference(
             break
         k = max(1, k - 1)
     return rounds, best
+
+
+def sigma_stage_reference(
+    b: Basis, servers: int, sample_n: int, inner_iters: int, outer_iters: int,
+    alpha: LllParams, target: Decimal | None, seed: int, rng: random.Random,
+) -> tuple[list[list[tuple[tuple[int, ...], Basis]]], Basis]:
+    """The rounds of each LDSF run of a sigma stage, and the final basis the
+    stage keeps.  Run i starts from the rows of b in a right order drawn
+    from ``rng``, one run after another, and takes seed parts (seed,
+    "sigma", i); the stage keeps the first final basis of least key."""
+    runs = []
+    for i in range(sample_n):
+        start = Basis([b.rows[o] for o in _right_order(b.m, rng)])
+        rounds, _ = ldsf_run_reference(
+            start, servers, inner_iters, outer_iters, alpha, target, _seed(seed, "sigma", i)
+        )
+        runs.append(rounds)
+    finals = [rounds[-1][1] for rounds in runs]
+    keys = [_key(f) for f in finals]
+    return runs, finals[keys.index(min(keys))]
+
+
+def run_pipeline_reference(b0: Basis, stages, seed: int) -> tuple[list[tuple], Basis]:
+    """Each stage's (index, kind, blocks, sample_n, before, after, llb, lub)
+    and the final basis, for a feasible list of ``StageSpec`` values.
+
+    Stage i reads only its kind's fields.  An lll stage reduces the basis
+    at its alpha.  An ldsf stage is one LDSF run with seed parts (seed,
+    "stage", i), and a sigma stage ``sigma_stage_reference`` with them and
+    the generator of (seed, "stage", i, "perms"); each hands on the final
+    basis of its (kept) run.  llb and lub are the least shortest row and
+    the least longest row over every fused basis of the stage's runs, or
+    the output's own after an lll stage.  ``before`` is the previous
+    stage's ``after``, b0's for the first."""
+    current, before, out = b0, reference_metrics(b0), []
+    for i, stage in enumerate(stages, start=1):
+        if stage.kind == "lll":
+            current = lll_reduce_reference(current, stage.alpha)
+            fused = [current]
+        else:
+            loops = (stage.inner_iters, stage.outer_iters, stage.alpha, stage.target_bound)
+            stage_seed = _seed(seed, "stage", i)
+            if stage.kind == "ldsf":
+                runs = [ldsf_run_reference(current, stage.blocks, *loops, stage_seed)[0]]
+                current = runs[0][-1][1]
+            else:
+                runs, current = sigma_stage_reference(
+                    current, stage.blocks, stage.sample_n, *loops, stage_seed,
+                    _seeded(seed, "stage", i, "perms"),
+                )
+            fused = [basis for rounds in runs for _, basis in rounds]
+        after = reference_metrics(current)
+        keys = [_key(f) for f in fused]
+        llb, lub = _sqrt(min(k[0] for k in keys)), _sqrt(min(k[2] for k in keys))
+        out.append((i, stage.kind, stage.blocks, stage.sample_n, before, after, llb, lub))
+        before = after
+    return out, current
 
 
 class _Scanner:

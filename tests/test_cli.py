@@ -29,7 +29,7 @@ from latforge.latfile import load_lattice, save_lattice
 from latforge.lll import LllParams
 from latforge.pipeline import load_stages, run_pipeline
 
-from helpers import counting
+from helpers import counting, recursion_headroom
 
 
 @pytest.fixture
@@ -606,6 +606,17 @@ class TestOracle:
         shown = out.partition("vector=")[2].strip()
         assert shown == "[-1" + "0" * 5000 + ", 0]"
         assert shown == "[" + ", ".join(json.loads(report.read_text())["vector"]) + "]"
+
+    def test_rank_past_the_recursion_limit(self, tmp_path, capsys):
+        # No input reaches "internal error" through a RecursionError of the
+        # search: 120 levels run under a limit 40 frames above this test's.
+        path, report = tmp_path / "id120.lat", tmp_path / "r.json"
+        save_lattice(Basis.identity(120), str(path))
+        argv = ["oracle", "--bound", "1", "--budget", str(3**120), "--in", str(path)]
+        with recursion_headroom(40):
+            code = cli_main([*argv, "--report", str(report)])
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert json.loads(report.read_text())["vector"] == ["-1"] + ["0"] * 119
 
     @pytest.mark.parametrize("option", [["--alpha", "3/4"], ["--seed", "1"]], ids=["alpha", "seed"])
     def test_takes_no_alpha_or_seed(self, id4, capsys, option):

@@ -8,6 +8,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,8 +28,6 @@ from latforge import (
     StageSpec,
     VariableRadius,
     apply,
-    diffuse,
-    fuse,
     gram_det,
     hill_climb,
     hnf,
@@ -41,6 +40,7 @@ from latforge import (
     uniform_basis,
 )
 from latforge import core
+from latforge import ldsf as ldsf_mod
 from latforge.bench import summarize
 from latforge.core import int_str
 from latforge.latfile import load_lattice, save_lattice
@@ -56,6 +56,7 @@ from helpers import (
     echelon_reference,
     gso,
     lattice_contains,
+    recursion_headroom,
     same_lattice_oracle,
 )
 
@@ -429,26 +430,44 @@ SMALL_BASES = st.one_of(
 )
 
 
+def _round_bases(b: Basis, k: int, seed: int):
+    """The trace of a two-round ``ldsf_run`` of ``b`` with k blocks, and the
+    bases its rounds build: each block, its reduction and the joined
+    reduced rows that ``apply`` makes the fused basis of."""
+    blocks, reduced, joined = [], [], []
+
+    def reduce(block, alpha):
+        blocks.append(block)
+        reduced.append(lll_reduce(block, alpha))
+        return reduced[-1]
+
+    def rearrange(basis, p):
+        joined.append(basis)
+        return apply(basis, p)
+
+    with mock.patch.object(ldsf_mod, "lll_reduce", reduce), \
+            mock.patch.object(ldsf_mod, "apply", rearrange):
+        trace = ldsf_run(b, LdsfConfig(servers=k, inner_iters=2, seed=seed))
+    return trace, blocks, reduced, joined
+
+
 class TestLibraryBuiltBases:
-    """``lll_reduce``, ``apply``, ``diffuse``, ``fuse`` and ``ldsf_run`` bind
-    their rows through ``Basis._built``, which neither copies nor checks them."""
+    """``lll_reduce``, ``apply`` and an ``ldsf_run`` round bind their rows
+    through ``Basis._built``, which neither copies nor checks them."""
 
     @given(b=SMALL_BASES, data=st.data())
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     def test_outputs_equal_their_public_twins(self, b, data):
         perm = data.draw(st.permutations(range(1, b.m + 1)).map(Permutation))
         k = data.draw(st.integers(1, b.m // 2))
-        blocks = diffuse(b, k, derive_rng("built", b.rows))
-        outs = [lll_reduce(b), apply(b, perm), *blocks, fuse(blocks, perm)]
-        outs += [lll_reduce(blk) for blk in blocks]
+        trace, blocks, reduced, joined = _round_bases(b, k, data.draw(st.integers(0, 9)))
+        # A round builds its k blocks, their k reductions, the joined rows
+        # and the fused basis: 2k + 2 bases.
+        assert len(blocks) == len(reduced) == 2 * k and len(joined) == 2
+        outs = [lll_reduce(b), apply(b, perm), *blocks, *reduced, *joined]
+        outs += [r.fused_basis for r in trace.rounds]
         for out in outs:
             _check_library_built(out)
-
-    def test_fuse_checks_the_shape_of_its_blocks(self):
-        with pytest.raises(ValueError, match="same length"):
-            fuse([Basis.identity(2), Basis.identity(3)], Permutation.identity(5))
-        with pytest.raises(ValueError, match="rank 4 exceeds ambient dimension 2"):
-            fuse([Basis.identity(2), Basis.identity(2)], Permutation.identity(4))
 
     def test_only_the_search_layers_call_it(self):
         # A new caller vouches that its rows are ints of the right shape, and
@@ -462,8 +481,7 @@ class TestLibraryBuiltBases:
             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "_built"
         )
         assert callers == [
-            ("ldsf.py", "diffuse", []),
-            ("ldsf.py", "fuse", []),
+            ("ldsf.py", "ldsf_run", []),
             ("ldsf.py", "ldsf_run", ["like"]),
             ("lll.py", "lll_reduce", ["like"]),
             ("perm.py", "apply", ["like"]),
@@ -475,9 +493,10 @@ def _carried(b: Basis) -> bool:
 
 
 class TestCarriedDeterminant:
-    """Only ``lll_reduce``, ``apply`` and the fused basis of an ``ldsf_run``
-    round carry a determinant, from an input that holds one, and it is that
-    of their own rows.  No other basis holds one it did not compute."""
+    """Only ``lll_reduce``, ``apply`` and the joined and fused bases of an
+    ``ldsf_run`` round carry a determinant, from an input that holds one,
+    and it is that of their own rows.  No other basis holds one it did not
+    compute."""
 
     @given(b=SMALL_BASES, data=st.data())
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -486,8 +505,8 @@ class TestCarriedDeterminant:
         k = data.draw(st.integers(1, b.m // 2))
         b = Basis(b.rows)
         gram_det(b)
-        trace = ldsf_run(b, LdsfConfig(servers=k, inner_iters=2, seed=data.draw(st.integers(0, 9))))
-        outs = [lll_reduce(b), apply(b, perm), *(r.fused_basis for r in trace.rounds)]
+        trace, _, _, joined = _round_bases(b, k, data.draw(st.integers(0, 9)))
+        outs = [lll_reduce(b), apply(b, perm), *joined, *(r.fused_basis for r in trace.rounds)]
         for out in outs:
             assert _carried(out)
             assert gram_det(out) == _gram_det_bareiss(out)
@@ -502,9 +521,9 @@ class TestCarriedDeterminant:
         # Without a determinant to carry, the carry sites hold none either.
         assert not any(_carried(out) for out in (lll_reduce(fresh), apply(fresh, perm)))
         gram_det(fresh)
-        blocks = diffuse(fresh, k, derive_rng("carried", b.rows))
+        _, blocks, reduced, _ = _round_bases(fresh, k, data.draw(st.integers(0, 9)))
         outs = [
-            Basis(fresh.rows), *blocks, fuse(blocks, perm), fresh.replace(),
+            Basis(fresh.rows), *blocks, *reduced, fresh.replace(),
             fresh.replace(rows=fresh.rows), copy.copy(fresh), copy.deepcopy(fresh),
             pickle.loads(pickle.dumps(fresh)),
         ]
@@ -967,6 +986,14 @@ class TestSvpOracle:
         )
         for (b, bound), res in got.items():
             assert res == svp_oracle(b, bound)
+
+    def test_rank_past_the_recursion_limit(self):
+        # The walk keeps its levels on a stack of its own: 120 of them run
+        # under a limit 40 frames above this test's depth.
+        with recursion_headroom(40):
+            res = svp_oracle(Basis.identity(120), 1, budget=3**120)
+        assert res.vector == (-1,) + (0,) * 119
+        assert res.lambda1 == 1
 
     def test_brute_force_cross_check(self):
         # independent re-enumeration with itertools over the same box

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from latforge import (
     Basis,
     BadBlockingError,
-    DegreeMismatchError,
     LdsfConfig,
     LllParams,
     Permutation,
     StageSpec,
-    diffuse,
-    fuse,
     gram_det,
     hnf,
     knapsack_basis,
@@ -83,38 +80,49 @@ class TestBlocking:
                     expect = [m // k + (i < m % k) for i in range(k)]
                 assert block_sizes(m, k) == expect, (m, k)
 
-    def test_diffuse_partitions_rows(self):
+    def test_diffuse_partitions_rows(self, monkeypatch):
         b = uniform_basis(7, -9, 9, seed=1)
-        blocks = diffuse(b, 3, derive_rng("cut"))
+        blocks, _ = one_round(monkeypatch, b, 3, seed=1)
         assert [blk.m for blk in blocks] == [3, 2, 2]
         scattered = Counter(row for blk in blocks for row in blk.rows)
         assert scattered == Counter(b.rows)
 
-    def test_diffuse_whole_basis(self):
+    def test_diffuse_whole_basis(self, monkeypatch):
         b = uniform_basis(6, -9, 9, seed=2)
-        (block,) = diffuse(b, 1, derive_rng("one"))
+        (block,), _ = one_round(monkeypatch, b, 1, seed=2)
         assert Counter(block.rows) == Counter(b.rows)
 
 
-class TestFuse:
-    def test_single_block_identity_perm(self):
-        b = uniform_basis(5, -9, 9, seed=3)
-        assert fuse([b], Permutation.identity(5)) == b
+def one_round(monkeypatch, b, servers, seed, p=None):
+    """The blocks and the fused basis of one ``ldsf_run`` round of b whose
+    block reductions return their input, and whose fusing permutation is
+    p when given."""
+    blocks = []
+    monkeypatch.setattr(ldsf_mod, "lll_reduce", lambda blk, alpha: blocks.append(blk) or blk)
+    if p is not None:
+        monkeypatch.setattr(ldsf_mod, "sample_right", lambda m, rng: p)
+    (rnd,) = ldsf_run(b, cfg(servers, seed=seed)).rounds
+    return blocks, rnd.fused_basis
 
-    def test_partition_roundtrip_same_lattice(self):
+
+class TestFuse:
+    """The joined blocks, rearranged by the round's permutation."""
+
+    def test_single_block_identity_perm(self, monkeypatch):
+        b = uniform_basis(5, -9, 9, seed=3)
+        (block,), fused = one_round(monkeypatch, b, 1, seed=3, p=Permutation.identity(5))
+        assert fused == block
+
+    def test_partition_roundtrip_same_lattice(self, monkeypatch):
         b = uniform_basis(6, -99, 99, seed=4)
-        blocks = diffuse(b, 2, derive_rng("f"))
-        fused = fuse(blocks, Permutation.identity(6))
+        _, fused = one_round(monkeypatch, b, 2, seed=4, p=Permutation.identity(6))
         assert hnf(fused) == hnf(b)
 
-    def test_reversal(self):
-        b = Basis(((1, 0), (0, 2)))
-        assert fuse([b], Permutation((2, 1))).rows == ((0, 2), (1, 0))
-
-    def test_degree_mismatch(self):
-        b = uniform_basis(4, -9, 9, seed=5)
-        with pytest.raises(DegreeMismatchError):
-            fuse([b], Permutation.identity(5))
+    def test_reversal(self, monkeypatch):
+        b = uniform_basis(5, -9, 9, seed=5)
+        blocks, fused = one_round(monkeypatch, b, 2, seed=5, p=Permutation((5, 4, 3, 2, 1)))
+        joined = [row for blk in blocks for row in blk.rows]
+        assert fused.rows == tuple(reversed(joined))
 
 
 class TestRun:
@@ -253,7 +261,7 @@ class TestSigma:
 def assert_reference_metrics(trace, servers):
     """Every fused and block metric of ``trace`` equals the metric of its
     basis with that basis's own reference determinant.  The blocks are the
-    fused rows put back in concatenation order and split as ``diffuse``."""
+    fused rows put back in concatenation order and split by ``block_sizes``."""
     for rnd in trace.rounds:
         fused = rnd.fused_basis
         assert rnd.fused_metrics == reference_metrics(fused)

@@ -2,11 +2,14 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latforge import (
     BadStageParamsError,
     LllParams,
     StageInfeasibleError,
+    StageReport,
     StageSpec,
     default_four_stage,
     hnf,
@@ -23,7 +26,9 @@ from latforge import pipeline
 from latforge.ldsf import sigma_candidates
 from latforge.pipeline import KIND_LDSF, KIND_LLL, KIND_SIGMA, stage_from_dict
 
-from helpers import reference_metrics
+from helpers import reference_metrics, run_pipeline_reference
+from test_core import SMALL_BASES
+from test_same_bytes import STAGES
 
 A34 = LllParams(Fraction(3, 4))
 
@@ -259,6 +264,46 @@ class TestStageDecisions:
         assert given.shortest != out.shortest and given.longest != out.longest
         stage = run_pipeline(b, [StageSpec(kind=KIND_LLL, alpha=A34)], seed=0).stage_reports[0]
         assert (stage.llb, stage.lub) == (out.shortest, out.longest)
+
+
+ALPHAS = st.sampled_from([A34, LllParams("51/100"), LllParams("99/100")])
+
+
+def _stages(m: int):
+    """Feasible stage lists for rank m: up to three stages of any kind."""
+    loops = {"inner_iters": st.integers(1, 2), "outer_iters": st.integers(1, 2)}
+    searched = {"alpha": ALPHAS, "blocks": st.integers(1, m // 2), **loops}
+    stage = st.one_of(
+        st.builds(StageSpec, kind=st.just(KIND_LLL), alpha=ALPHAS),
+        st.builds(StageSpec, kind=st.just(KIND_LDSF), target_bound=st.none() | st.integers(1, 60),
+                  **searched),
+        st.builds(StageSpec, kind=st.just(KIND_SIGMA), sample_n=st.integers(1, 3), **searched),
+    )
+    return st.lists(stage, min_size=1, max_size=3)
+
+
+class TestAgainstTheReference:
+    """``run_pipeline`` against ``run_pipeline_reference``: every stage
+    report but its clock, and the final basis."""
+
+    @staticmethod
+    def check(b, stages, seed):
+        report = run_pipeline(b, stages, seed=seed)
+        want, final = run_pipeline_reference(b, stages, seed)
+        assert [s.replace(seconds=0.0) for s in report.stage_reports] == [
+            StageReport(*row, seconds=0.0) for row in want
+        ]
+        assert report.final_basis == final
+
+    def test_same_bytes_row(self):
+        # The stage file, input and seed of the hybrid same-bytes row.
+        stages = [stage_from_dict(entry, A34) for entry in STAGES]
+        self.check(knapsack_basis(12, 40, seed=3), stages, seed=2)
+
+    @given(b=SMALL_BASES, data=st.data())
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_small_pipelines(self, b, data):
+        self.check(b, data.draw(_stages(b.m)), data.draw(st.integers(0, 10)))
 
 
 class TestSerialization:

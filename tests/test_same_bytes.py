@@ -111,9 +111,8 @@ def _read(path: str) -> bytes | None:
     return Path(path).read_bytes() if Path(path).exists() else None
 
 
-def outputs(name: str) -> list:
-    """Write the inputs to the working directory, run ``RUNS[name]`` there,
-    and return its exit code and then its outputs in ``FIELDS`` order."""
+def write_inputs() -> None:
+    """Write the input files of every run to the working directory."""
     save_lattice(knapsack_basis(12, 40, seed=3), "k12.lat")
     save_lattice(uniform_basis(5, -20, 20, seed=2), "u5.lat")
     # Reduced, so that its re-reduced copies differ: freq reads 0.833 and 0.667.
@@ -121,6 +120,12 @@ def outputs(name: str) -> list:
     save_lattice(uniform_basis(10, -99, 99, seed=1), "u10.lat")
     Path("bad.lat").write_text("[[1 0]\n[0 x1]]\n", encoding="utf-8")
     Path("stages.json").write_text(json.dumps(STAGES), encoding="utf-8")
+
+
+def outputs(name: str) -> list:
+    """Write the inputs to the working directory, run ``RUNS[name]`` there,
+    and return its exit code and then its outputs in ``FIELDS`` order."""
+    write_inputs()
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli_main(RUNS[name])
