@@ -415,39 +415,61 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _reduced_echelon(b: Basis) -> tuple[list[int], int, list[list[int]]]:
-    """Fraction-free Gauss-Jordan elimination of the m x n matrix B of ``b``.
+    """Fraction-free echelon of the m x n matrix B of ``b``, in two passes.
 
     Returns the pivot columns P (each the first column independent of those
     before it, so a property of the row space), d = +-det(B_P), and rows
-    whose non-pivot columns hold d * B_P^-1 * B.  Divisions are exact.
-    ``hnf`` and ``gram_det`` both read it, once per basis, through
-    ``Basis._echelon``.  The column e_(m-1) rides along as column n, never
-    a pivot, so each row ends with its entry of w = d * B_P^-1 * e_(m-1).
+    whose non-pivot columns hold d * B_P^-1 * B; their entries in the pivot
+    columns are unspecified.  ``hnf`` and ``gram_det`` both read it, once
+    per basis, through ``Basis._echelon``.  The column e_(m-1) rides along
+    as column n, never a pivot, so each row ends with its entry of
+    w = d * B_P^-1 * e_(m-1).
+
+    The forward pass is Bareiss's (Math. Comp. 22, 1968): each pivot clears
+    only the rows below it, dividing exactly by the pivot before it, so row
+    r ends with its pivot u_(r,p_r), a signed minor of B, and d is the last.
+    Fraction-free back substitution (Nakos, Turner and Williams, SIGSAM
+    Bull. 31(3), 1997) then solves U_P x = d * U_j, U the rows the forward
+    pass leaves, for each non-pivot column j, the last row first:
+    x_r = (d * u_(r,j) - sum over s > r of u_(r,p_s) * x_s) // u_(r,p_r),
+    exact because x = +-adj(B_P) * B_j is integral.  The last row is its
+    own x, as u_(m-1,p_(m-1)) = d.
     """
     work = [[*r, int(i == b.m - 1)] for i, r in enumerate(b.rows)]
     m, n = b.m, b.n
     pivots: list[int] = []
     prev = 1
     for c in range(n):
-        k = next((i for i in range(len(pivots), m) if work[i][c]), None)
+        r = len(pivots)
+        k = next((i for i in range(r, m) if work[i][c]), None)
         if k is None:
             continue
-        r = len(pivots)
         work[r], work[k] = work[k], work[r]
         pivots.append(c)
         piv_row, piv = work[r], work[r][c]
-        cols = [j for j in range(n + 1) if j not in pivots]
-        for row in work:
+        right = range(c + 1, n + 1)
+        for row in work[r + 1:]:
             f = row[c]
             # With f = 0 and piv = prev the update leaves the row as it is:
             # the identity block of a knapsack basis, at every pivot.
-            if row is not piv_row and (f or piv != prev):
-                for j in cols:
+            if f or piv != prev:
+                for j in right:
                     row[j] = (piv * row[j] - f * piv_row[j]) // prev
         prev = piv
     if len(pivots) < m:
         raise DependentRowsError("rows span a lattice of lower rank")
-    return pivots, prev, work
+    d = prev
+    extra = [j for j in range(n + 1) if j not in pivots]
+    for r in range(m - 2, -1, -1):
+        row, piv = work[r], work[r][pivots[r]]
+        # The rows below already hold their x; zero terms are left out.
+        terms = [(row[p], below) for p, below in zip(pivots[r + 1:], work[r + 1:]) if row[p]]
+        for j in extra:
+            x = d * row[j]
+            for u, below in terms:
+                x -= u * below[j]
+            row[j] = x // piv
+    return pivots, d, work
 
 
 def _hnf_square(rows: list[list[int]], det: int) -> list[list[int]]:

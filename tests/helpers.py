@@ -50,6 +50,9 @@ sampler code: each copy's seed, sphere draw, row order and reduction
 variable-radius walks) and ``ldsf_run_reference`` are written from the
 docstrings of ``hill_climb`` and ``ldsf_run`` in the same way: their own
 seeds, sphere and right draws, block cuts, comparison keys and reductions.
+``psl2_walk_reference`` is that walk with the PSL(2,p) draws of
+``psl2_permutations``' docstring: its own matrix draws, square test and
+action on the projective line.
 ``sigma_stage_reference`` (n of those LDSF runs from right-permuted starts,
 keeping the least key) and ``run_pipeline_reference`` (the stage list with
 its llb/lub rule) are built on ``ldsf_run_reference`` in the same way.
@@ -539,37 +542,84 @@ def _key(b: Basis) -> tuple[int, int, int]:
     return min(sq), math.prod(sq), max(sq)
 
 
-def hill_climb_reference(
-    b0: Basis, r0: int, rstep: int, k: int, max_steps: int, alpha: LllParams,
-    target: Decimal, seed: int,
+def _walk_reference(
+    b0: Basis, orders, max_steps: int, alpha: LllParams, target: Decimal,
 ) -> tuple[list[tuple[tuple[int, ...], Basis, bool]], Basis]:
-    """The fixed-radius (``rstep`` 0) or variable-radius walk from the
-    reduced ``b0``: each step's (images, basis, improved) and the best basis.
+    """The walk of ``hill_climb``'s docstring from the reduced ``b0``, step i
+    trying the 0-based row orders ``orders(i)``: each step's (images,
+    basis, improved) and the best basis.
 
-    Step i draws k permutations of radius min(m, r0 + (i-1) * rstep), the
-    j-th from seed parts (seed, "hc", i, j), reduces every permuted copy of
-    the current basis and moves to the first copy of least key, uphill or
-    not; a step improves when that key is below the best so far.  The walk
-    stops once the best shortest row is at most ``target``."""
+    Each step reduces every permuted copy of the current basis and moves to
+    the first copy of least key, uphill or not; a step improves when that
+    key is below the best so far.  The walk stops once the best shortest
+    row is at most ``target``."""
     current = best = lll_reduce_reference(b0, alpha)
     best_key = _key(best)
     steps = []
     for i in range(1, max_steps + 1):
         if _sqrt(best_key[0]) <= target:
             break
-        r = min(b0.m, r0 + (i - 1) * rstep)
-        orders = [_sphere_order(b0.m, r, _seeded(seed, "hc", i, j)) for j in range(k)]
+        tried = orders(i)
         copies = [
             lll_reduce_reference(Basis([current.rows[o] for o in order]), alpha)
-            for order in orders
+            for order in tried
         ]
         keys = [_key(c) for c in copies]
         j = keys.index(min(keys))
         current, improved = copies[j], keys[j] < best_key
         if improved:
             best, best_key = current, keys[j]
-        steps.append((tuple(o + 1 for o in orders[j]), current, improved))
+        steps.append((tuple(o + 1 for o in tried[j]), current, improved))
     return steps, best
+
+
+def hill_climb_reference(
+    b0: Basis, r0: int, rstep: int, k: int, max_steps: int, alpha: LllParams,
+    target: Decimal, seed: int,
+) -> tuple[list[tuple[tuple[int, ...], Basis, bool]], Basis]:
+    """The fixed-radius (``rstep`` 0) or variable-radius walk: step i draws
+    k permutations of radius min(m, r0 + (i-1) * rstep), the j-th from seed
+    parts (seed, "hc", i, j)."""
+
+    def orders(i: int) -> list[list[int]]:
+        r = min(b0.m, r0 + (i - 1) * rstep)
+        return [_sphere_order(b0.m, r, _seeded(seed, "hc", i, j)) for j in range(k)]
+
+    return _walk_reference(b0, orders, max_steps, alpha, target)
+
+
+def _psl2_images(p: int, rng: random.Random) -> tuple[int, ...]:
+    """One element of PSL(2,p) as the docstrings of ``psl2_permutations``
+    and ``_moebius_permutation`` draw it: matrices (a, b, c, d) over F_p,
+    entry by entry, until ad - bc is a nonzero square (any nonzero value
+    for p = 2).  Its images are those of x -> (ax + b) / (cx + d) on the
+    points 1..p+1, where point i <= p is the field element i - 1 and point
+    p + 1 is infinity, whose image is a/c."""
+    squares = {x * x % p for x in range(1, p)}
+    while True:
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if (a * d - b * c) % p in squares:
+            break
+    # (numerator, denominator) of each point's image; a zero denominator
+    # means infinity, and the inverse is Fermat's.
+    fractions = [(a * x + b, c * x + d) for x in range(p)] + [(a, c)]
+    return tuple(
+        p + 1 if den % p == 0 else num * pow(den, p - 2, p) % p + 1 for num, den in fractions
+    )
+
+
+def psl2_walk_reference(
+    b0: Basis, p: int, k: int, max_steps: int, alpha: LllParams, target: Decimal, seed: int,
+) -> tuple[list[tuple[tuple[int, ...], Basis, bool]], Basis]:
+    """The PSL(2,p) walk on a basis of rank p + 1: step i draws its k
+    elements one after another from the generator of seed parts (seed,
+    "hc", i)."""
+
+    def orders(i: int) -> list[list[int]]:
+        rng = _seeded(seed, "hc", i)
+        return [[x - 1 for x in _psl2_images(p, rng)] for _ in range(k)]
+
+    return _walk_reference(b0, orders, max_steps, alpha, target)
 
 
 def _block_sizes(m: int, k: int) -> list[int]:

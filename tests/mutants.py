@@ -10,11 +10,14 @@ lists the survivors:
     python tests/mutants.py -k record  # rows whose name contains "record"
 
 It exits 0 when every mutant is killed and every equivalent one survives.
-A row marked equivalent computes the same results as the code it replaces,
-so no test can kill it; it stays in the table so that nobody spends time
-on it again.  pytest does not collect this file; ``test_mutants.py``
-checks that each old text occurs exactly once in ``src/``, so a refactor
-that moves mutated code must update the table.
+A row whose pytest exits with neither 0 nor 1 (an internal error, say)
+gives no verdict: it is listed as "error" and counted as unexpected, and
+the run goes on to the next row.  A row marked equivalent computes the
+same results as the code it replaces, so no test can kill it; it stays in
+the table so that nobody spends time on it again.  pytest does not collect
+this file; ``test_mutants.py`` checks that each old text occurs exactly
+once in ``src/``, so a refactor that moves mutated code must update the
+table.
 """
 
 from __future__ import annotations
@@ -251,8 +254,26 @@ MUTANTS = (
     ),
     Mutant(
         "echelon: a zero entry skipped also when the pivot changes", "core.py",
-        "            if row is not piv_row and (f or piv != prev):\n",
-        "            if row is not piv_row and f:\n",
+        "            if f or piv != prev:\n",
+        "            if f:\n",
+        ("tests/test_core.py::TestReducedEchelon",),
+    ),
+    Mutant(
+        "echelon back substitution: the sum over the rows below dropped", "core.py",
+        "                x -= u * below[j]\n",
+        "                x -= 0\n",
+        ("tests/test_core.py::TestReducedEchelon",),
+    ),
+    Mutant(
+        "echelon back substitution: division by d, not the row's own pivot", "core.py",
+        "            row[j] = x // piv\n",
+        "            row[j] = x // d\n",
+        ("tests/test_core.py::TestReducedEchelon",),
+    ),
+    Mutant(
+        "echelon back substitution: the unit column n left out", "core.py",
+        "    extra = [j for j in range(n + 1) if j not in pivots]\n",
+        "    extra = [j for j in range(n) if j not in pivots]\n",
         ("tests/test_core.py::TestReducedEchelon",),
     ),
     Mutant(
@@ -392,6 +413,19 @@ MUTANTS = (
         "        if all(a != b for a, b in zip(shuffled, positions)):\n",
         "        if any(a != b for a, b in zip(shuffled, positions)):\n",
         ("tests/test_perm.py::TestSampleAtRadius::test_exact_radius",),
+    ),
+    # The PSL(2,p) walk, against the reference written from the sampler's docstring.
+    Mutant(
+        "psl2: matrices of non-square determinant kept instead", "perm.py",
+        "        if p > 2 and pow(det, (p - 1) // 2, p) != 1:\n",
+        "        if p > 2 and pow(det, (p - 1) // 2, p) != p - 1:\n",
+        ("tests/test_hillclimb.py::TestPsl2AgainstTheReference",),
+    ),
+    Mutant(
+        "psl2: no square test for p = 3", "perm.py",
+        "        if p > 2 and pow(det, (p - 1) // 2, p) != 1:\n",
+        "        if p > 3 and pow(det, (p - 1) // 2, p) != 1:\n",
+        ("tests/test_hillclimb.py::TestPsl2AgainstTheReference::test_small_walks",),
     ),
     Mutant(
         "derive_seed: little-endian", "parallel.py",
@@ -780,8 +814,11 @@ MUTANTS = (
 )
 
 
-def killed(mutant: Mutant) -> bool:
-    """Whether the named tests fail on a copy of ``src/`` with ``mutant``."""
+def verdict(mutant: Mutant) -> str:
+    """"killed" if the named tests fail on a copy of ``src/`` with
+    ``mutant``, "survived" if they pass, and "error" for any other pytest
+    exit (an internal error, a usage error, no test collected), which says
+    nothing of the mutant; the end of pytest's output is then printed."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -794,14 +831,16 @@ def killed(mutant: Mutant) -> bool:
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
         try:
             done = subprocess.run(
-                [*command, *mutant.tests], cwd=ROOT, env=env, capture_output=True,
-                timeout=TIMEOUT_S,
+                [*command, *mutant.tests], cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT, timeout=TIMEOUT_S,
             )
         except subprocess.TimeoutExpired:
-            return True
-    if done.returncode not in (0, 1):
-        raise SystemExit(f"{mutant.name}: pytest exited {done.returncode}\n{done.stdout.decode()}")
-    return done.returncode == 1
+            return "killed"
+    if done.returncode in (0, 1):
+        return "killed" if done.returncode else "survived"
+    tail = "\n".join(done.stdout.decode().splitlines()[-20:])
+    print(f"{mutant.name}: pytest exited {done.returncode}\n{tail}", file=sys.stderr, flush=True)
+    return "error"
 
 
 def main() -> int:
@@ -810,10 +849,10 @@ def main() -> int:
     rows = [m for m in MUTANTS if parser.parse_args().k in m.name]
     wrong = []
     for mutant in rows:
-        dead = killed(mutant)
-        label = ("killed" if dead else "survived") + (" (equivalent)" if mutant.equivalent else "")
+        found = verdict(mutant)
+        label = found + (" (equivalent)" if mutant.equivalent else "")
         print(f"{label:21}  {mutant.name}", flush=True)
-        if dead == mutant.equivalent:
+        if found == "error" or (found == "killed") == mutant.equivalent:
             wrong.append(mutant.name)
     print(f"{len(rows) - len(wrong)} of {len(rows)} as expected; unexpected: {wrong or 'none'}")
     return 1 if wrong else 0

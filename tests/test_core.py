@@ -602,13 +602,24 @@ class TestGramDet:
 class TestReducedEchelon:
     """The fraction-free echelon behind ``hnf`` and ``gram_det`` against
     Gauss-Jordan over Fractions: the first independent columns are the
-    pivots P, |d| = |det B_P|, and the non-pivot columns hold d * B_P^-1 * B."""
+    pivots P, |d| = |det B_P|, the non-pivot columns hold d * B_P^-1 * B,
+    and the unit column n holds d * B_P^-1 * e_(m-1)."""
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(rows=_matrices(wide=4))
     @example(rows=((0, 2, 4, 1, 3), (0, 1, 2, 5, 7)))
     @example(rows=((0, 0, 3, 3, 6, 1), (0, 0, 5, 5, 1, 9), (0, 0, 7, 7, 2, 8)))
     @example(rows=((1, 2, 3), (2, 4, 6)))
+    # Column 1 (twice column 0) is no pivot, but lies left of the pivots 2
+    # and 3.
+    @example(rows=((2, 4, 1, 0), (1, 2, 3, 1), (5, 10, 0, 2)))
+    # Row 0 has no entry in column 0, so the first pivot swaps in row 1.
+    @example(rows=((0, 3, 1, 4), (2, 1, 5, 0), (1, 1, 1, 1)))
+    # Five rows of 60 entries: the pivots are 0-3 and 10, so the columns
+    # 4-9 are no pivots, left of the last one.
+    @example(rows=tuple(
+        tuple(((7 * i + 3) * j * j + i * j) % 23 - 11 for j in range(60)) for i in range(5)
+    ))
     def test_matches_fraction_reference(self, rows):
         self.check(Basis(rows))
 
@@ -634,6 +645,11 @@ class TestReducedEchelon:
         extra = [c for c in range(b.n) if c not in pivots]
         for row, want in zip(scaled, form):
             assert [row[c] for c in extra] == [d * want[c] for c in extra]
+        # B with e_(m-1) appended has the same pivots; its form's last
+        # column is B_P^-1 * e_(m-1).
+        unit = Basis(tuple((*row, int(i == b.m - 1)) for i, row in enumerate(b.rows)))
+        _, _, unit_form = echelon_reference(unit)
+        assert [row[b.n] for row in scaled] == [d * want[b.n] for want in unit_form]
 
 
 class TestOneEchelonPerBasis:

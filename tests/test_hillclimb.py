@@ -28,7 +28,9 @@ from latforge import (
 from latforge import hillclimb
 from latforge.serialize import hc_trace_dict
 
-from helpers import _gram_det_bareiss, hill_climb_reference, moved_points, reference_metrics
+from helpers import (
+    _gram_det_bareiss, hill_climb_reference, moved_points, psl2_walk_reference, reference_metrics,
+)
 from test_core import SMALL_BASES
 
 A34 = LllParams(Fraction(3, 4))
@@ -252,6 +254,34 @@ class TestAgainstTheReference:
             data.draw(st.integers(lo, hi)) for lo, hi in [(2, b.m), (0, 3), (1, 4), (1, 3), (0, 9)]
         )
         self.check(b, r0, rstep, k, p, A34, 0, seed)
+
+
+class TestPsl2AgainstTheReference:
+    """The PSL(2,p) walk against ``psl2_walk_reference``: every step's
+    permutation, basis and improvement, and the best basis."""
+
+    @staticmethod
+    def check(b, p, k, steps, seed):
+        cfg = HcConfig(
+            kind=Psl2(p), sample_size=k, max_steps=steps, alpha=A34, target_bound=0, seed=seed
+        )
+        trace = hill_climb(b, cfg)
+        want, best = psl2_walk_reference(b, p, k, steps, A34, Decimal(0), seed)
+        assert [(s.permutation.images, s.basis, s.improved) for s in trace.steps] == want
+        assert trace.best_basis == best
+        return want
+
+    def test_same_bytes_row(self):
+        # hc-psl2: --psl2 11 --k 3 --p 2 --target 0 --seed 5, default alpha 3/4.
+        assert len(self.check(knapsack_basis(12, 40, seed=3), 11, 3, 2, 5)) == 2
+
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]), basis_seed=st.integers(0, 10**6),
+        k=st.integers(1, 4), steps=st.integers(1, 3), seed=st.integers(0, 9),
+    )
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    def test_small_walks(self, p, basis_seed, k, steps, seed):
+        self.check(uniform_basis(p + 1, -99, 99, seed=basis_seed), p, k, steps, seed)
 
 
 class TestPsl2Walk:
